@@ -26,8 +26,9 @@ parallel across trials as long as every trial gets its own RngStream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .core import (
     RngStream,
     StatsState,
     _as_generator,
+    _gated_mean,
 )
 
 __all__ = [
@@ -55,10 +57,20 @@ __all__ = [
 ]
 
 ALGORITHM_IDS = ("fcsr", "us", "sr", "etc")
+# The keyword overrides of run_algorithm that each algorithm reads.
+ALGORITHM_PARAMS = {
+    "fcsr": ("feasibility_fraction", "apt_fraction", "threshold"),
+    "us": ("threshold",),
+    "sr": ("threshold",),
+    "etc": ("explore_fraction", "threshold"),
+}
 
 DEFAULT_FEASIBILITY_FRACTION = 0.2
 DEFAULT_APT_FRACTION = 0.3
 DEFAULT_EXPLORE_FRACTION = 0.5
+
+_CHUNK = 512  # single-pull buffer refill size
+_ZERO = Fraction(0)
 
 
 def _exact(x: float | int | Fraction) -> Fraction:
@@ -67,15 +79,12 @@ def _exact(x: float | int | Fraction) -> Fraction:
     Floats go through their shortest decimal repr, so f=0.2 means exactly
     1/5 rather than the nearest binary double.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
+    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 def _floor_mul(frac: Fraction, n: int) -> int:
-    return int(frac * n // 1)
+    """floor(frac * n), exactly."""
+    return frac.numerator * n // frac.denominator
 
 
 @dataclass(frozen=True)
@@ -107,9 +116,7 @@ class ScheduleSpec:
         return sum((k + 1 - r) * d for r, d in enumerate(self.delta, start=1))
 
 
-def build_schedule(
-    num_arms: int, budget: int, feasibility_fraction: float = 0.0
-) -> ScheduleSpec:
+def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0) -> ScheduleSpec:
     """Compute the elimination schedule exactly.
 
     Args:
@@ -131,17 +138,8 @@ def build_schedule(
         math.ceil(Fraction(sr_budget) / (nbar * (num_arms + 1 - r)))
         for r in range(1, num_arms)
     )
-    delta = tuple(
-        cur - prev for cur, prev in zip(cumulative, (0,) + cumulative[:-1])
-    )
-    return ScheduleSpec(
-        num_arms=num_arms,
-        budget=budget,
-        feasibility_fraction=feasibility_fraction,
-        nbar=float(nbar),
-        cumulative=cumulative,
-        delta=delta,
-    )
+    delta = tuple(cur - prev for cur, prev in zip(cumulative, (0,) + cumulative[:-1]))
+    return ScheduleSpec(num_arms, budget, feasibility_fraction, float(nbar), cumulative, delta)
 
 
 @dataclass(frozen=True)
@@ -155,8 +153,6 @@ class FcsrConfig:
         apt_fraction: g in (0, 1); share of each round's per-arm budget sent
             to the adaptive thresholding pass. Default 0.3.
         threshold: feasibility threshold; None means use the instance's own.
-        sub_gaussian_r: optional scale hint carried for reporting; the run
-            itself never uses it (the algorithm is parameter-free).
 
     A budget of at least K*M is recommended so every attribute can be
     sampled at least once; smaller budgets are legal and simply force the
@@ -167,7 +163,6 @@ class FcsrConfig:
     feasibility_fraction: float = DEFAULT_FEASIBILITY_FRACTION
     apt_fraction: float = DEFAULT_APT_FRACTION
     threshold: float | None = None
-    sub_gaussian_r: float | None = None
 
     def __post_init__(self) -> None:
         if self.budget < 0:
@@ -195,228 +190,170 @@ class RunTrace:
     per_round_scores: tuple[tuple[tuple[int, float], ...], ...] = ()
 
 
-class _Draws:
-    """Per-trial reward source with chunked buffers per (arm, attribute).
+class _RunState:
+    """Statistics, reward buffers and budget guard of one run.
 
-    Single pulls pop from a buffer refilled in blocks from the trial's
-    generator; block uniform passes draw the sum of n pulls in one shot with
-    the exact distribution of that sum. Both paths depend only on the
-    trial's own generator and pull history, so a run is reproducible from
-    its (seed, stream) alone.
+    ``sums``, ``counts`` and ``mu`` hold one row of Python numbers per arm,
+    zeros or a copy of ``stats``. Single pulls pop from a buffer per (arm,
+    attribute) refilled in blocks of ``_CHUNK`` from the run's generator; a
+    uniform pass draws the sum of n pulls in one shot with the exact law of
+    that sum. Both depend only on the generator and the pull history, so a
+    run is reproducible from its (seed, stream) alone. ``used`` counts
+    pulls, and no pass takes it past ``cap``.
     """
 
-    __slots__ = ("_arms", "_gen", "_bufs", "_chunk")
+    __slots__ = ("arms", "gen", "bufs", "sums", "counts", "mu", "used", "cap")
 
     def __init__(
-        self, instance: BanditInstance, gen: np.random.Generator, chunk: int = 512
+        self, instance: BanditInstance, gen: np.random.Generator, cap: int,
+        stats: StatsState | None = None,
     ) -> None:
-        self._arms = instance.arms
-        self._gen = gen
-        self._bufs: list[list[list[float]]] = [
-            [[] for _ in row] for row in instance.arms
-        ]
-        self._chunk = chunk
+        k, m = instance.num_arms, instance.num_attributes
+        self.arms, self.gen, self.used, self.cap = instance.arms, gen, 0, cap
+        self.bufs: list[list[list[float]]] = [[[] for _ in range(m)] for _ in range(k)]
+        if stats is None:
+            self.sums = [[0.0] * m for _ in range(k)]
+            self.counts = [[0] * m for _ in range(k)]
+            self.mu = [[0.0] * m for _ in range(k)]
+        else:
+            self.sums = stats.reward_sums.tolist()
+            self.counts = stats.pull_counts.tolist()
+            self.mu = stats.empirical_means.tolist()
 
-    def one(self, arm0: int, attr0: int) -> float:
-        buf = self._bufs[arm0][attr0]
+    def one(self, i: int, j: int) -> float:
+        buf = self.bufs[i][j]
         if not buf:
-            vals = self._arms[arm0][attr0].draw_many(self._chunk, self._gen)
+            vals = self.arms[i][j].draw_many(_CHUNK, self.gen)
             buf.extend(vals[::-1].tolist())
         return buf.pop()
 
-    def total(self, arm0: int, attr0: int, n: int) -> float:
-        return self._arms[arm0][attr0].draw_sum(n, self._gen)
-
-
-def _row_score(mu_row: list[float], threshold: float) -> float:
-    lowest = min(mu_row)
-    if lowest > threshold:
-        return sum(mu_row) / len(mu_row)
-    return lowest
-
-
-def _uniform_pulls(
-    arm0: int,
-    budget: int,
-    limit: int,
-    sums: list[float],
-    counts: list[int],
-    mu: list[float],
-    draws: _Draws,
-) -> int:
-    """floor(budget/M) pulls per attribute in order; truncated after ``limit`` pulls."""
-    m = len(sums)
-    if budget <= 0 or limit <= 0:
-        return 0
-    quota = budget // m
-    if quota <= 0:
-        return 0
-    used = 0
-    for j in range(m):
-        take = quota if quota <= limit - used else limit - used
-        if take <= 0:
-            break
-        x = draws.total(arm0, j, take)
-        s = sums[j] + x
-        c = counts[j] + take
-        sums[j] = s
-        counts[j] = c
-        mu[j] = s / c
-        used += take
-    return used
-
-
-def _apt_pulls(
-    arm0: int,
-    steps: int,
-    threshold: float,
-    sums: list[float],
-    counts: list[int],
-    mu: list[float],
-    draws: _Draws,
-) -> int:
-    """Adaptive thresholding pulls: each step samples the attribute minimizing
-    sqrt(count) * |empirical mean - threshold|, lowest index on ties."""
-    if steps <= 0:
-        return 0
-    m = len(sums)
-    sqrt = math.sqrt
-    one = draws.one
-    scores = [sqrt(counts[j]) * abs(mu[j] - threshold) for j in range(m)]
-    inner = range(1, m)
-    for _ in range(steps):
-        j = 0
-        best = scores[0]
-        for t in inner:
-            v = scores[t]
-            if v < best:
-                best = v
-                j = t
-        x = one(arm0, j)
-        s = sums[j] + x
-        c = counts[j] + 1
-        sums[j] = s
-        counts[j] = c
-        est = s / c
-        mu[j] = est
-        d = est - threshold
-        scores[j] = sqrt(c) * (d if d >= 0.0 else -d)
-    return steps
-
-
-def _suf_pulls(
-    arm0: int,
-    feasibility_budget: int,
-    threshold: float,
-    sums: list[float],
-    counts: list[int],
-    mu: list[float],
-    draws: _Draws,
-    limit: int,
-) -> tuple[int, int]:
-    """Sample-until-feasible pass.
-
-    Repeatedly takes the lowest-index attribute whose empirical mean is at
-    or below the threshold and samples it until it crosses, spending from
-    the arm's feasibility budget and never exceeding ``limit`` pulls.
-    Returns (pulls made, remaining feasibility budget).
-    """
-    cap = feasibility_budget if feasibility_budget <= limit else limit
-    if cap <= 0:
-        return 0, feasibility_budget
-    m = len(sums)
-    one = draws.one
-    used = 0
-    while used < cap:
-        j = -1
-        for t in range(m):
-            if mu[t] <= threshold:
-                j = t
+    def uniform(self, i: int, budget: int) -> int:
+        """floor(budget / M) pulls of each attribute of arm ``i``, in order."""
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        m = len(sums)
+        limit = self.cap - self.used
+        quota = budget // m
+        if quota <= 0 or limit <= 0:
+            return 0
+        dists, gen = self.arms[i], self.gen
+        used = 0
+        for j in range(m):
+            take = quota if quota <= limit - used else limit - used
+            if take <= 0:
                 break
-        if j < 0:
-            break
-        while used < cap:
-            x = one(arm0, j)
+            s = sums[j] + dists[j].draw_sum(take, gen)
+            c = counts[j] + take
+            sums[j] = s
+            counts[j] = c
+            mu[j] = s / c
+            used += take
+        self.used += used
+        return used
+
+    def apt(self, i: int, budget: int, threshold: float) -> int:
+        """Adaptive thresholding pulls on arm ``i``: each step samples the
+        attribute minimizing sqrt(count) * |empirical mean - threshold|,
+        lowest index on ties."""
+        limit = self.cap - self.used
+        steps = budget if budget <= limit else limit
+        if steps <= 0:
+            return 0
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        m = len(sums)
+        sqrt = math.sqrt
+        one = self.one
+        scores = [sqrt(counts[j]) * abs(mu[j] - threshold) for j in range(m)]
+        inner = range(1, m)
+        for _ in range(steps):
+            j = 0
+            best = scores[0]
+            for t in inner:
+                v = scores[t]
+                if v < best:
+                    best = v
+                    j = t
+            x = one(i, j)
             s = sums[j] + x
             c = counts[j] + 1
             sums[j] = s
             counts[j] = c
             est = s / c
             mu[j] = est
-            used += 1
-            if est > threshold:
+            d = est - threshold
+            scores[j] = sqrt(c) * (d if d >= 0.0 else -d)
+        self.used += steps
+        return steps
+
+    def suf(self, i: int, feasibility_budget: int, threshold: float) -> int:
+        """Sample-until-feasible pulls on arm ``i``, at most ``feasibility_budget``.
+
+        Repeatedly takes the lowest-index attribute whose empirical mean is
+        at or below the threshold and samples it until it crosses.
+        """
+        limit = self.cap - self.used
+        cap = feasibility_budget if feasibility_budget <= limit else limit
+        if cap <= 0:
+            return 0
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        m = len(sums)
+        one = self.one
+        used = 0
+        while used < cap:
+            j = -1
+            for t in range(m):
+                if mu[t] <= threshold:
+                    j = t
+                    break
+            if j < 0:
                 break
-    return used, feasibility_budget - used
+            while used < cap:
+                x = one(i, j)
+                s = sums[j] + x
+                c = counts[j] + 1
+                sums[j] = s
+                counts[j] = c
+                est = s / c
+                mu[j] = est
+                used += 1
+                if est > threshold:
+                    break
+        self.used += used
+        return used
+
+    def scored(self, arms, threshold: float) -> list[tuple[int, float]]:
+        """(arm index, feasibility-gated score) for each of ``arms``."""
+        return [(i, _gated_mean(self.mu[i], threshold)) for i in arms]
+
+    def decide(self, scored: list[tuple[int, float]], threshold: float) -> int:
+        """The decision rule of every algorithm: the id of the highest score in
+        ``scored`` (lowest arm on ties) if all its empirical means exceed the
+        threshold, else 0."""
+        best = min(scored, key=lambda pair: (-pair[1], pair[0]))[0]
+        return best + 1 if min(self.mu[best]) > threshold else 0
 
 
-class _RunState:
-    """Python-list mirror of the global statistics for one run."""
-
-    __slots__ = ("sums", "counts", "mu", "draws", "used")
-
-    def __init__(self, instance: BanditInstance, gen: np.random.Generator) -> None:
-        k, m = instance.num_arms, instance.num_attributes
-        self.sums = [[0.0] * m for _ in range(k)]
-        self.counts = [[0] * m for _ in range(k)]
-        self.mu = [[0.0] * m for _ in range(k)]
-        self.draws = _Draws(instance, gen)
-        self.used = 0
-
-    def uniform(self, arm0: int, budget: int, cap: int) -> int:
-        n = _uniform_pulls(
-            arm0, budget, cap - self.used,
-            self.sums[arm0], self.counts[arm0], self.mu[arm0], self.draws,
-        )
-        self.used += n
-        return n
-
-    def apt(self, arm0: int, budget: int, threshold: float, cap: int) -> int:
-        steps = budget if budget <= cap - self.used else cap - self.used
-        n = _apt_pulls(
-            arm0, steps, threshold,
-            self.sums[arm0], self.counts[arm0], self.mu[arm0], self.draws,
-        )
-        self.used += n
-        return n
-
-    def suf(
-        self, arm0: int, feasibility_budget: int, threshold: float, cap: int
-    ) -> tuple[int, int]:
-        n, remaining = _suf_pulls(
-            arm0, feasibility_budget, threshold,
-            self.sums[arm0], self.counts[arm0], self.mu[arm0], self.draws,
-            cap - self.used,
-        )
-        self.used += n
-        return n, remaining
-
-    def score(self, arm0: int, threshold: float) -> float:
-        return _row_score(self.mu[arm0], threshold)
+def _ids(scored: list[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    return tuple((i + 1, s) for i, s in scored)
 
 
-# ---------------------------------------------------------------------------
-# Standalone phase operations over StatsState (the contract surface).
-# ---------------------------------------------------------------------------
+# --- Standalone phase operations over StatsState (the contract surface). ---
 
 
-def _on_stats_row(stats: StatsState, arm: int):
-    i = arm - 1
-    if not 0 <= i < stats.num_arms:
+def _on_row(
+    instance: BanditInstance, stats: StatsState, arm: int, cap: int,
+    rng: RngStream | np.random.Generator, method: Callable[..., int], *args,
+) -> int:
+    """``method(state, arm - 1, *args)`` on a run state that holds ``stats``
+    and has budget guard ``cap``; then stores ``arm``'s row back."""
+    if not 1 <= arm <= stats.num_arms:
         raise IndexError(f"arm {arm} out of range 1..{stats.num_arms}")
-    return (
-        i,
-        stats.reward_sums[i].tolist(),
-        [int(c) for c in stats.pull_counts[i]],
-        stats.empirical_means[i].tolist(),
-    )
-
-
-def _write_stats_row(
-    stats: StatsState, i: int, sums: list[float], counts: list[int], mu: list[float]
-) -> None:
-    stats.reward_sums[i] = sums
-    stats.pull_counts[i] = counts
-    stats.empirical_means[i] = mu
+    i = arm - 1
+    state = _RunState(instance, _as_generator(rng), cap, stats)
+    n = method(state, i, *args)
+    stats.reward_sums[i] = state.sums[i]
+    stats.pull_counts[i] = state.counts[i]
+    stats.empirical_means[i] = state.mu[i]
+    return n
 
 
 def uniform_phase(
@@ -433,11 +370,7 @@ def uniform_phase(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    gen = _as_generator(rng)
-    i, sums, counts, mu = _on_stats_row(stats, arm)
-    n = _uniform_pulls(i, budget, budget, sums, counts, mu, _Draws(instance, gen))
-    _write_stats_row(stats, i, sums, counts, mu)
-    return n
+    return _on_row(instance, stats, arm, budget, rng, _RunState.uniform, budget)
 
 
 def apt_phase(
@@ -456,11 +389,7 @@ def apt_phase(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    gen = _as_generator(rng)
-    i, sums, counts, mu = _on_stats_row(stats, arm)
-    n = _apt_pulls(i, budget, threshold, sums, counts, mu, _Draws(instance, gen))
-    _write_stats_row(stats, i, sums, counts, mu)
-    return n
+    return _on_row(instance, stats, arm, budget, rng, _RunState.apt, budget, threshold)
 
 
 def sample_until_feasible(
@@ -481,19 +410,62 @@ def sample_until_feasible(
     """
     if feasibility_budget < 0:
         raise ValueError("feasibility budget must be non-negative")
-    gen = _as_generator(rng)
-    i, sums, counts, mu = _on_stats_row(stats, arm)
-    _, remaining = _suf_pulls(
-        i, feasibility_budget, threshold, sums, counts, mu,
-        _Draws(instance, gen), feasibility_budget,
+    return feasibility_budget - _on_row(
+        instance, stats, arm, feasibility_budget, rng,
+        _RunState.suf, feasibility_budget, threshold,
     )
-    _write_stats_row(stats, i, sums, counts, mu)
-    return remaining
 
 
-# ---------------------------------------------------------------------------
-# Full algorithm runs.
-# ---------------------------------------------------------------------------
+# --- Full algorithm runs. ---
+
+
+def _successive_rejects(
+    instance: BanditInstance, budget: int, rng: RngStream | np.random.Generator,
+    threshold: float, f: Fraction, g: Fraction,
+) -> RunTrace:
+    """FCSR's elimination loop (see :func:`run_fcsr`); with f = g = 0 it is
+    plain successive rejects. A pass whose budget is 0 is skipped, since it
+    would make no pulls."""
+    k = instance.num_arms
+    schedule = build_schedule(k, budget, f)
+    state = _RunState(instance, _as_generator(rng), budget)
+    feas_budget = [_floor_mul(f / k, budget)] * k
+    keep = 1 - g
+    extra_pool = 0
+    active = list(range(k))
+    eliminated: list[int] = []
+    round_scores: list[tuple[tuple[int, float], ...]] = []
+    phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
+
+    for increment in schedule.delta:
+        share = extra_pool // len(active)
+        extra_pool -= share * len(active)
+        uniform_budget = _floor_mul(keep, increment) + share
+        apt_budget = _floor_mul(g, increment)
+        for i in active:
+            phase_pulls["uniform"] += state.uniform(i, uniform_budget)
+            if apt_budget:
+                phase_pulls["apt"] += state.apt(i, apt_budget, threshold)
+            if feas_budget[i]:
+                pulls = state.suf(i, feas_budget[i], threshold)
+                feas_budget[i] -= pulls
+                phase_pulls["suf"] += pulls
+        scored = state.scored(active, threshold)
+        round_scores.append(_ids(scored))
+        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
+        active.remove(loser)
+        eliminated.append(loser + 1)
+        extra_pool += feas_budget[loser]
+        feas_budget[loser] = 0
+
+    survivor = [pair for pair in scored if pair[0] != loser]
+    return RunTrace(
+        decision=state.decide(survivor, threshold),
+        pulls_total=state.used,
+        pulls_by_phase=phase_pulls,
+        elimination_order=tuple(eliminated),
+        per_round_scores=tuple(round_scores),
+    )
 
 
 def run_fcsr(
@@ -503,64 +475,33 @@ def run_fcsr(
 ) -> RunTrace:
     """Feasibility-constrained successive rejects.
 
-    K-1 elimination rounds; in each, every surviving arm gets a uniform
-    pass (its share of the round budget plus redistributed feasibility
-    budget of dead arms), an adaptive thresholding pass, and a
-    sample-until-feasible pass from its personal feasibility budget. The
-    lowest-scoring arm is dropped (lowest index on score ties) and its
-    remaining feasibility budget joins the shared pool. The survivor is
-    returned if it looks feasible, else 0.
+    K-1 rounds follow ``build_schedule(K, T, f)``. In round r every
+    surviving arm takes floor((1-g) delta_r) pulls plus its share of the
+    pool of recycled budget as a uniform pass, floor(g delta_r) adaptive
+    thresholding pulls, and a sample-until-feasible pass from its personal
+    feasibility budget floor(f T / K). The lowest-scoring arm is dropped
+    (lowest index on score ties) and its unspent feasibility budget joins
+    the pool. The survivor is returned if it looks feasible, else 0.
 
     A global guard truncates any phase that would push total pulls past the
     budget, so ``pulls_total <= budget`` always holds.
     """
-    k, m = instance.num_arms, instance.num_attributes
-    if k < 2:
+    if instance.num_arms < 2:
         raise ValueError("fcsr needs at least 2 arms")
-    budget = config.budget
-    threshold = (
-        instance.threshold if config.threshold is None else config.threshold
+    threshold = instance.threshold if config.threshold is None else config.threshold
+    return _successive_rejects(
+        instance, config.budget, rng, threshold,
+        _exact(config.feasibility_fraction), _exact(config.apt_fraction),
     )
-    g = _exact(config.apt_fraction)
-    f = _exact(config.feasibility_fraction)
-    schedule = build_schedule(k, budget, config.feasibility_fraction)
 
-    state = _RunState(instance, _as_generator(rng))
-    feas_budget = [int(f * budget / k // 1)] * k
-    extra_pool = 0
-    active = list(range(k))
-    eliminated: list[int] = []
-    round_scores: list[tuple[tuple[int, float], ...]] = []
-    phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
 
-    for r in range(1, k):
-        increment = schedule.delta[r - 1]
-        share = extra_pool // len(active)
-        extra_pool -= share * len(active)
-        uniform_budget = _floor_mul(1 - g, increment) + share
-        apt_budget = _floor_mul(g, increment)
-        for i in active:
-            phase_pulls["uniform"] += state.uniform(i, uniform_budget, budget)
-            phase_pulls["apt"] += state.apt(i, apt_budget, threshold, budget)
-            pulls, feas_budget[i] = state.suf(i, feas_budget[i], threshold, budget)
-            phase_pulls["suf"] += pulls
-        scored = [(i, state.score(i, threshold)) for i in active]
-        round_scores.append(tuple((i + 1, s) for i, s in scored))
-        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
-        active.remove(loser)
-        eliminated.append(loser + 1)
-        extra_pool += feas_budget[loser]
-        feas_budget[loser] = 0
-
-    survivor = active[0]
-    feasible = min(state.mu[survivor]) > threshold
-    return RunTrace(
-        decision=survivor + 1 if feasible else 0,
-        pulls_total=state.used,
-        pulls_by_phase=phase_pulls,
-        elimination_order=tuple(eliminated),
-        per_round_scores=tuple(round_scores),
-    )
+def _uniform_stage(state: _RunState, arms, budget: int, tau: float) -> list[tuple[int, float]]:
+    """floor(budget / (|arms| M)) pulls of each attribute of ``arms``; returns their scores."""
+    m = len(state.sums[0])
+    quota = budget // (len(arms) * m)
+    for i in arms:
+        state.uniform(i, quota * m)
+    return state.scored(arms, tau)
 
 
 def run_uniform_baseline(
@@ -574,24 +515,14 @@ def run_uniform_baseline(
     Decides on the empirically feasible arm with the highest empirical arm
     mean (lowest index on ties), or 0 when no arm looks feasible.
     """
-    k, m = instance.num_arms, instance.num_attributes
     tau = instance.threshold if threshold is None else threshold
-    state = _RunState(instance, _as_generator(rng))
-    quota = budget // (k * m)
-    for i in range(k):
-        state.uniform(i, quota * m, budget)
-    scores = tuple((i + 1, state.score(i, tau)) for i in range(k))
-    feasible = [i for i in range(k) if min(state.mu[i]) > tau]
-    if feasible:
-        pick = min(feasible, key=lambda i: (-sum(state.mu[i]) / m, i))
-        decision = pick + 1
-    else:
-        decision = 0
+    state = _RunState(instance, _as_generator(rng), budget)
+    scored = _uniform_stage(state, range(instance.num_arms), budget, tau)
     return RunTrace(
-        decision=decision,
+        decision=state.decide(scored, tau),
         pulls_total=state.used,
         pulls_by_phase={"uniform": state.used},
-        per_round_scores=(scores,),
+        per_round_scores=(_ids(scored),),
     )
 
 
@@ -606,35 +537,14 @@ def run_sr_baseline(
     The full budget goes through the round schedule (no feasibility
     reserve); each round every surviving arm takes its increment as a
     uniform pass, then the lowest-scoring arm is dropped. The survivor is
-    returned only if empirically feasible.
+    returned only if empirically feasible. This is FCSR's loop with the
+    adaptive thresholding and sample-until-feasible budgets at 0.
     """
-    k = instance.num_arms
-    if k < 2:
+    if instance.num_arms < 2:
         raise ValueError("successive rejects needs at least 2 arms")
     tau = instance.threshold if threshold is None else threshold
-    schedule = build_schedule(k, budget, 0.0)
-    state = _RunState(instance, _as_generator(rng))
-    active = list(range(k))
-    eliminated: list[int] = []
-    round_scores: list[tuple[tuple[int, float], ...]] = []
-    for r in range(1, k):
-        increment = schedule.delta[r - 1]
-        for i in active:
-            state.uniform(i, increment, budget)
-        scored = [(i, state.score(i, tau)) for i in active]
-        round_scores.append(tuple((i + 1, s) for i, s in scored))
-        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
-        active.remove(loser)
-        eliminated.append(loser + 1)
-    survivor = active[0]
-    feasible = min(state.mu[survivor]) > tau
-    return RunTrace(
-        decision=survivor + 1 if feasible else 0,
-        pulls_total=state.used,
-        pulls_by_phase={"uniform": state.used},
-        elimination_order=tuple(eliminated),
-        per_round_scores=tuple(round_scores),
-    )
+    trace = _successive_rejects(instance, budget, rng, tau, _ZERO, _ZERO)
+    return replace(trace, pulls_by_phase={"uniform": trace.pulls_total})
 
 
 def run_etc_baseline(
@@ -656,35 +566,18 @@ def run_etc_baseline(
         raise ValueError("explore fraction must lie strictly inside (0, 1)")
     k, m = instance.num_arms, instance.num_attributes
     tau = instance.threshold if threshold is None else threshold
-    state = _RunState(instance, _as_generator(rng))
-
+    state = _RunState(instance, _as_generator(rng), budget)
     explore_total = _floor_mul(_exact(explore_fraction), budget)
-    quota1 = explore_total // (k * m)
-    for i in range(k):
-        state.uniform(i, quota1 * m, budget)
+    stage1 = _uniform_stage(state, range(k), explore_total, tau)
     explore_used = state.used
-    stage1 = [(i, state.score(i, tau)) for i in range(k)]
     ranked = sorted(stage1, key=lambda pair: (-pair[1], pair[0]))
     candidates = [i for i, _ in ranked[: min(m, k)]]
-
-    remaining = budget - state.used
-    quota2 = remaining // (len(candidates) * m)
-    for i in candidates:
-        state.uniform(i, quota2 * m, budget)
-    final = [(i, state.score(i, tau)) for i in candidates]
-    pick = min(final, key=lambda pair: (-pair[1], pair[0]))[0]
-    feasible = min(state.mu[pick]) > tau
+    final = _uniform_stage(state, candidates, budget - state.used, tau)
     return RunTrace(
-        decision=pick + 1 if feasible else 0,
+        decision=state.decide(final, tau),
         pulls_total=state.used,
-        pulls_by_phase={
-            "explore": explore_used,
-            "commit": state.used - explore_used,
-        },
-        per_round_scores=(
-            tuple((i + 1, s) for i, s in stage1),
-            tuple((i + 1, s) for i, s in final),
-        ),
+        pulls_by_phase={"explore": explore_used, "commit": state.used - explore_used},
+        per_round_scores=(_ids(stage1), _ids(final)),
     )
 
 
@@ -702,24 +595,18 @@ def run_algorithm(
     """Dispatch a run by stable algorithm identifier.
 
     Identifiers: "fcsr", "us" (uniform), "sr" (successive rejects),
-    "etc" (explore-then-commit).
+    "etc" (explore-then-commit); ``ALGORITHM_PARAMS`` lists the keywords
+    each one reads.
     """
     if name == "fcsr":
-        config = FcsrConfig(
-            budget=budget,
-            feasibility_fraction=feasibility_fraction,
-            apt_fraction=apt_fraction,
-            threshold=threshold,
-        )
+        config = FcsrConfig(budget, feasibility_fraction, apt_fraction, threshold)
         return run_fcsr(instance, config, rng)
     if name == "us":
         return run_uniform_baseline(instance, budget, rng, threshold)
     if name == "sr":
         return run_sr_baseline(instance, budget, rng, threshold)
     if name == "etc":
-        return run_etc_baseline(
-            instance, budget, rng, threshold, explore_fraction
-        )
+        return run_etc_baseline(instance, budget, rng, threshold, explore_fraction)
     raise ValueError(
         f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
     )

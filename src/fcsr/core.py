@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -50,8 +50,10 @@ class Gaussian:
     variance: float
 
     def __post_init__(self) -> None:
-        if not self.variance >= 0.0:
-            raise ValueError(f"Gaussian variance must be >= 0, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"Gaussian mean must be finite, got {self.mean}")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError(f"Gaussian variance must be finite and >= 0, got {self.variance}")
 
     @property
     def std(self) -> float:
@@ -112,9 +114,10 @@ class Empirical:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("Empirical distribution needs a non-empty value sequence")
-        vals = tuple(float(v) for v in self.values)
-        if min(vals) < 0.0 or max(vals) > 1.0:
-            raise ValueError("Empirical values must lie in [0, 1]")
+        vals = tuple(map(float, self.values))
+        # One pass; a NaN fails both comparisons.
+        if not all(0.0 <= v <= 1.0 for v in vals):
+            raise ValueError("Empirical values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
     @cached_property
@@ -219,6 +222,8 @@ class BanditInstance:
             raise ValueError("arm_labels length must equal the number of arms")
         if self.attribute_labels is not None and len(self.attribute_labels) != m:
             raise ValueError("attribute_labels length must equal the attribute count")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         object.__setattr__(self, "arms", arms)
 
     @property
@@ -342,14 +347,8 @@ class StatsState:
         self.pull_counts[i, j] = c
         self.empirical_means[i, j] = s / c
 
-    def arm_empirical_mean(self, arm: int) -> float:
-        return float(self.empirical_means[arm - 1].mean())
-
     def min_empirical_mean(self, arm: int) -> float:
         return float(self.empirical_means[arm - 1].min())
-
-    def empirically_feasible(self, arm: int, threshold: float) -> bool:
-        return self.min_empirical_mean(arm) > threshold
 
     def copy(self) -> "StatsState":
         return StatsState(
@@ -374,6 +373,18 @@ def update(stats: StatsState, arm: int, attribute: int, reward: float) -> StatsS
     return stats
 
 
+def _gated_mean(row: list[float], threshold: float) -> float:
+    """Feasibility-gated score of one row of empirical means.
+
+    ``sum(row) / len(row)`` over Python floats when every entry strictly
+    exceeds the threshold; otherwise the smallest entry.
+    """
+    lowest = min(row)
+    if lowest > threshold:
+        return sum(row) / len(row)
+    return lowest
+
+
 def score(stats: StatsState, arm: int, threshold: float) -> float:
     """Elimination score for an arm.
 
@@ -381,24 +392,4 @@ def score(stats: StatsState, arm: int, threshold: float) -> float:
     above the threshold, otherwise the minimum attribute empirical mean. A
     minimum exactly equal to the threshold counts as infeasible.
     """
-    row = stats.empirical_means[arm - 1]
-    lowest = float(row.min())
-    if lowest > threshold:
-        return float(row.mean())
-    return lowest
-
-
-def score_vector(
-    empirical_means: np.ndarray, threshold: float
-) -> np.ndarray:
-    """Vectorized elimination scores for a (K, M) matrix of empirical means."""
-    lowest = empirical_means.min(axis=1)
-    means = empirical_means.mean(axis=1)
-    return np.where(lowest > threshold, means, lowest)
-
-
-def validate_arm_grid(
-    rows: Iterable[Sequence[AttributeDistribution]],
-) -> tuple[tuple[AttributeDistribution, ...], ...]:
-    """Normalize an iterable-of-rows arm grid into the canonical tuple form."""
-    return tuple(tuple(row) for row in rows)
+    return _gated_mean(stats.empirical_means[arm - 1].tolist(), threshold)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import ALGORITHM_IDS, run_algorithm
+from .algorithms import ALGORITHM_IDS, ALGORITHM_PARAMS, run_algorithm
 from .core import BanditInstance, Gaussian, RngStream, oracle
 
 __all__ = [
@@ -212,6 +212,13 @@ class SweepConfig:
         bad = [a for a in self.params if a not in ALGORITHM_IDS]
         if bad:
             raise ValueError(f"params given for unknown algorithms {bad}")
+        for algorithm, overrides in self.params.items():
+            unread = [key for key in overrides if key not in ALGORITHM_PARAMS[algorithm]]
+            if unread:
+                raise ValueError(
+                    f"params for {algorithm!r} has keys it does not read: {unread}; "
+                    f"valid: {list(ALGORITHM_PARAMS[algorithm])}"
+                )
 
 
 @dataclass(frozen=True)
@@ -283,10 +290,10 @@ class SweepResult:
                     "budget": c.budget,
                     "trials": c.trials,
                     "error_count": c.error_count,
-                    "accuracy": _json_float(c.accuracy),
-                    "log_error": _json_float(c.log_error),
-                    "delta_band": _json_float(c.delta_band),
-                    "bernoulli_ci": _json_float(c.bernoulli_ci),
+                    "accuracy": _json_safe(c.accuracy),
+                    "log_error": _json_safe(c.log_error),
+                    "delta_band": _json_safe(c.delta_band),
+                    "bernoulli_ci": _json_safe(c.bernoulli_ci),
                     "wall_time": c.wall_time,
                     "note": c.note,
                 }
@@ -299,7 +306,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _json_float(x: float):
+def _json_safe(x: float) -> float | str:
+    """``x``, or "nan", "inf" or "-inf" where JSON has no literal for it."""
     if math.isnan(x):
         return "nan"
     if math.isinf(x):

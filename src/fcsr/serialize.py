@@ -9,7 +9,6 @@ interchange format between the generators, the harness, and the CLI.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +21,7 @@ from .core import (
     Gaussian,
 )
 from .hardness import ExponentPrediction, HardnessReport
-from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, build_synthetic
+from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, _json_safe, build_synthetic
 from .movielens import table1_surrogate_instance
 
 __all__ = [
@@ -55,7 +54,7 @@ def _dist_from_dict(data: dict[str, Any]) -> AttributeDistribution:
     if kind == "bernoulli":
         return Bernoulli(p=float(data["p"]))
     if kind == "empirical":
-        return Empirical(values=tuple(float(v) for v in data["values"]))
+        return Empirical(values=tuple(data["values"]))
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -166,15 +165,6 @@ def load_sweep_config(
         params={k: dict(v) for k, v in doc.get("params", {}).items()},
         instance_name=name,
     )
-
-
-def _json_safe(x: float) -> Any:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-    return x
 
 
 def hardness_to_dict(

@@ -85,6 +85,16 @@ def test_run_command_deterministic(tmp_path, capsys):
     assert first["decision"] in range(0, 11)
 
 
+def test_run_rejects_non_finite_threshold(tmp_path, capsys):
+    doc = instance_to_dict(build_synthetic("risky"))
+    doc["threshold"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # written as the bare token NaN
+    assert "NaN" in path.read_text()
+    assert main(["run", str(path), "--algorithm", "fcsr", "--budget", "500", "--seed", "1"]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
+
+
 def test_run_logs_default_seed(tmp_path, capsys):
     path = tmp_path / "risky.json"
     write_instance(build_synthetic("risky"), path)

@@ -37,6 +37,19 @@ def test_distribution_validation():
         Empirical(())
     with pytest.raises(ValueError):
         Empirical((0.2, 1.4))
+    # Non-finite input is rejected with an error naming the field.
+    for bad_mean in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="Gaussian mean"):
+            Gaussian(bad_mean, 0.3)
+    for bad_variance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="Gaussian variance"):
+            Gaussian(0.5, bad_variance)
+    for bad_values in ((math.nan, 0.5), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="Empirical values"):
+            Empirical(bad_values)
+    for bad_threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            BanditInstance(arms=((Bernoulli(0.5),),), threshold=bad_threshold)
 
 
 def test_degenerate_bernoulli_always_one():

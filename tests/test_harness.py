@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fcsr.algorithms import ALGORITHM_PARAMS
 from fcsr.core import BanditInstance, Bernoulli, oracle
 from fcsr.harness import (
     GAUSSIAN_VARIANCE,
@@ -173,6 +174,15 @@ def test_sweep_config_validation():
         _tiny_config(trials=0)
     with pytest.raises(ValueError):
         _tiny_config(params={"bogus": {}})
+    # A key the algorithm does not read: a misspelling would fail every
+    # trial of the cell, and a key meant for another algorithm would be
+    # ignored.
+    with pytest.raises(ValueError, match="'fcsr'.*apt_fracton"):
+        _tiny_config(params={"fcsr": {"apt_fracton": 0.3}})
+    with pytest.raises(ValueError, match="'sr'.*explore_fraction"):
+        _tiny_config(params={"sr": {"explore_fraction": 0.9}})
+    for algorithm, keys in ALGORITHM_PARAMS.items():
+        _tiny_config(params={algorithm: {key: 0.4 for key in keys}})
 
 
 def test_sweep_records_cell_failures():
