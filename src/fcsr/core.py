@@ -246,9 +246,6 @@ class BanditInstance:
         """Length-K vector of true arm means (simple attribute average)."""
         return self.attribute_means.mean(axis=1)
 
-    def true_arm_mean(self, arm: int) -> float:
-        return float(self.arm_means[arm - 1])
-
     def distribution(self, arm: int, attribute: int) -> AttributeDistribution:
         return self.arms[arm - 1][attribute - 1]
 
@@ -377,11 +374,15 @@ def _gated_mean(row: list[float], threshold: float) -> float:
     """Feasibility-gated score of one row of empirical means.
 
     ``sum(row) / len(row)`` over Python floats when every entry strictly
-    exceeds the threshold; otherwise the smallest entry.
+    exceeds the threshold; otherwise the smallest entry. The rounded mean
+    of entries within a few ulps of each other can fall below the smallest
+    of them, and so to the threshold; it is raised to the smallest entry,
+    so that a row that passes the gate always scores above the threshold.
     """
     lowest = min(row)
     if lowest > threshold:
-        return sum(row) / len(row)
+        mean = sum(row) / len(row)
+        return mean if mean > lowest else lowest
     return lowest
 
 
@@ -389,7 +390,8 @@ def score(stats: StatsState, arm: int, threshold: float) -> float:
     """Elimination score for an arm.
 
     The empirical arm mean when every attribute's empirical mean is strictly
-    above the threshold, otherwise the minimum attribute empirical mean. A
-    minimum exactly equal to the threshold counts as infeasible.
+    above the threshold (raised to the minimum if rounding put it below),
+    otherwise the minimum attribute empirical mean. A minimum exactly equal
+    to the threshold counts as infeasible.
     """
     return _gated_mean(stats.empirical_means[arm - 1].tolist(), threshold)

@@ -334,8 +334,18 @@ def _count_errors(
     return errors
 
 
+# The sweep's instance in a pool worker, set once per worker by
+# ``_init_worker`` so that the tasks need not carry it.
+_WORKER_INSTANCE: BanditInstance | None = None
+
+
+def _init_worker(instance: BanditInstance) -> None:
+    global _WORKER_INSTANCE
+    _WORKER_INSTANCE = instance
+
+
 def _count_errors_task(args) -> int:
-    return _count_errors(*args)
+    return _count_errors(_WORKER_INSTANCE, *args)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -351,7 +361,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     truth = oracle(config.instance)
     min_pulls = config.instance.num_arms * config.instance.num_attributes
     cells = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(config.instance,)
+        )
     try:
         for algorithm in config.algorithms:
             params = dict(config.params.get(algorithm, {}))
@@ -424,10 +438,7 @@ def _run_cell(
         )
     chunk = max(1, math.ceil(n / (workers * 4)))
     tasks = [
-        (
-            config.instance, best_arm, algorithm, budget, params,
-            config.base_seed, lo, min(lo + chunk, n),
-        )
+        (best_arm, algorithm, budget, params, config.base_seed, lo, min(lo + chunk, n))
         for lo in range(0, n, chunk)
     ]
     return sum(executor.map(_count_errors_task, tasks))

@@ -47,15 +47,20 @@ def _dist_to_dict(dist: AttributeDistribution) -> dict[str, Any]:
     raise TypeError(f"unknown distribution type {type(dist)!r}")
 
 
-def _dist_from_dict(data: dict[str, Any]) -> AttributeDistribution:
+def _dist_from_dict(data: dict[str, Any], arm: int, attribute: int) -> AttributeDistribution:
+    """The distribution of one attribute document; a ``ValueError`` names
+    the (1-based) arm and attribute it came from."""
     kind = data.get("kind")
-    if kind == "gaussian":
-        return Gaussian(mean=float(data["mean"]), variance=float(data["variance"]))
-    if kind == "bernoulli":
-        return Bernoulli(p=float(data["p"]))
-    if kind == "empirical":
-        return Empirical(values=tuple(data["values"]))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    try:
+        if kind == "gaussian":
+            return Gaussian(mean=float(data["mean"]), variance=float(data["variance"]))
+        if kind == "bernoulli":
+            return Bernoulli(p=float(data["p"]))
+        if kind == "empirical":
+            return Empirical(values=tuple(data["values"]))
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    except ValueError as exc:
+        raise ValueError(f"arm {arm} attribute {attribute}: {exc}") from exc
 
 
 def instance_to_dict(instance: BanditInstance) -> dict[str, Any]:
@@ -76,7 +81,8 @@ def instance_to_dict(instance: BanditInstance) -> dict[str, Any]:
 
 def instance_from_dict(doc: dict[str, Any]) -> BanditInstance:
     arms = tuple(
-        tuple(_dist_from_dict(d) for d in arm["attributes"]) for arm in doc["arms"]
+        tuple(_dist_from_dict(d, a, j) for j, d in enumerate(arm["attributes"], start=1))
+        for a, arm in enumerate(doc["arms"], start=1)
     )
     labels = None
     if any("label" in arm for arm in doc["arms"]):

@@ -1,0 +1,175 @@
+"""The block APT and SUF kernel against the one-pull-per-step oracle.
+
+``scalar_kernel.ScalarRunState`` holds the adaptive thresholding and
+sample-until-feasible loops as they were before long runs of pulls went in
+numpy blocks. Every case here runs once on the block kernel and once on the
+oracle, from the same generator state, and compares pull counts and
+statistics bit for bit. The budgets cross a ``_CHUNK`` refill, and the
+cases count the blocks they reach, so a change that stops reaching the
+block path fails here rather than passing silently.
+"""
+
+import numpy as np
+import pytest
+
+import fcsr.algorithms as algorithms
+from fcsr.algorithms import (
+    _CHUNK,
+    _GALLOP,
+    FcsrConfig,
+    _on_row,
+    _RunState,
+    apt_phase,
+    run_fcsr,
+    sample_until_feasible,
+    uniform_phase,
+)
+from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, StatsState
+from scalar_kernel import ScalarRunState
+
+KINDS = ("gaussian", "bernoulli", "empirical")
+# Seeds of the Bernoulli(0.5) tie cases below on which a block that went on
+# past an exact tie with a lower-index score (``ss <= lo`` for ``ss < lo``)
+# gives different statistics from the oracle.
+TIE_SEEDS = (559, 10198, 11101, 11367, 14175)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """One entry per ``_gallop`` call: True when the budget, not the stay
+    test, ended the run."""
+    ends: list[bool] = []
+    gallop = _RunState._gallop
+
+    def counted(self, i, j, n, s, c, stay):
+        out = gallop(self, i, j, n, s, c, stay)
+        ends.append(out[0] == n)
+        return out
+
+    monkeypatch.setattr(_RunState, "_gallop", counted)
+    return ends
+
+
+def _both(monkeypatch, run):
+    """``run()`` on the block kernel, then on the oracle."""
+    block = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_RunState", ScalarRunState)
+        scalar = run()
+    return block, scalar
+
+
+def _stats_bytes(stats: StatsState) -> tuple[bytes, bytes, bytes]:
+    return (
+        stats.reward_sums.tobytes(),
+        stats.pull_counts.tobytes(),
+        stats.empirical_means.tobytes(),
+    )
+
+
+def _random_instance(kind: str, seed: int) -> BanditInstance:
+    """K in 2..4 arms, M in 1..6 attributes, means near a random threshold."""
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+    tau = float(rng.uniform(0.3, 0.7))
+
+    def dist():
+        mu = float(np.clip(tau + rng.normal(0.0, 0.05), 0.0, 1.0))
+        if kind == "gaussian":
+            return Gaussian(mu, float(rng.uniform(0.01, 0.4)))
+        if kind == "bernoulli":
+            return Bernoulli(mu)
+        return Empirical(tuple(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 30))).tolist()))
+
+    return BanditInstance(tuple(tuple(dist() for _ in range(m)) for _ in range(k)), tau)
+
+
+def _phase_sequence(instance: BanditInstance, seed: int):
+    """The three phase functions on every arm, then APT and SUF under a
+    run-wide guard below their budgets; one generator throughout."""
+    gen = np.random.default_rng([seed, 1])
+    stats = StatsState.for_instance(instance)
+    tau = instance.threshold
+    m = instance.num_attributes
+    out = []
+    for arm in range(1, instance.num_arms + 1):
+        out.append(uniform_phase(instance, stats, arm, 4 * m * arm, gen))
+        out.append(apt_phase(instance, stats, arm, 3 * _CHUNK - 7, tau, gen))
+        out.append(sample_until_feasible(instance, stats, arm, 2 * _CHUNK + 3, tau, gen))
+        out.append(apt_phase(instance, stats, arm, _GALLOP + 1, tau, gen))
+        for method in (algorithms._RunState.apt, algorithms._RunState.suf):
+            out.append(_on_row(instance, stats, arm, 3 * _GALLOP + arm, gen, method, 900, tau))
+    return out, _stats_bytes(stats)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phase_functions_match_scalar_oracle(kind, monkeypatch, blocks):
+    for seed in range(12):
+        instance = _random_instance(kind, seed)
+        block, scalar = _both(monkeypatch, lambda: _phase_sequence(instance, seed))
+        assert block == scalar, f"{kind} seed {seed}"
+    assert any(blocks) and not all(blocks), "no block ended by the budget, or none by a stay test"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fcsr_runs_match_scalar_oracle(kind, monkeypatch, blocks):
+    for seed in range(6):
+        instance = _random_instance(kind, 100 + seed)
+        km = instance.num_arms * instance.num_attributes
+        # The schedule's ceilings overshoot floor((1-f)T) by up to K-1, so at
+        # small budgets the run-wide guard cuts the last passes short.
+        for budget, g in ((km + 1, 0.3), (40 * km + 3, 0.6), (6000, 0.3), (6001, 0.8)):
+            config = FcsrConfig(budget, 0.2, g)
+            block, scalar = _both(
+                monkeypatch, lambda: run_fcsr(instance, config, np.random.default_rng([seed, budget]))
+            )
+            assert block == scalar, f"{kind} seed {seed} T={budget} g={g}"
+            assert [[s.hex() for _, s in r] for r in block.per_round_scores] == [
+                [s.hex() for _, s in r] for r in scalar.per_round_scores
+            ]
+    assert not all(blocks)
+
+
+def _tie_case(seed: int):
+    """APT on Bernoulli(0.5) attributes at threshold 0.5 from unequal counts.
+
+    Scores sqrt(c) |k/c - 1/2| = |2k - c| / (2 sqrt(c)) take equal values at
+    different counts (0.5 at c = 4, 16, 36, ...), so a run can reach an
+    exact tie with another attribute's score inside a block.
+    """
+    rng = np.random.default_rng([seed, 2])
+    m = int(rng.integers(2, 6))
+    instance = BanditInstance(((Bernoulli(0.5),) * m,), 0.5)
+    stats = StatsState.for_instance(instance)
+    counts = rng.integers(1, 80, size=m)
+    sums = rng.binomial(counts, 0.5)
+    stats.pull_counts[0] = counts
+    stats.reward_sums[0] = sums
+    stats.empirical_means[0] = sums / counts
+    pulls = apt_phase(instance, stats, 1, 700, 0.5, rng)
+    return pulls, _stats_bytes(stats)
+
+
+@pytest.mark.parametrize("seeds", [TIE_SEEDS, range(300)], ids=["pinned", "range"])
+def test_apt_score_ties_match_scalar_oracle(seeds, monkeypatch, blocks):
+    for seed in seeds:
+        block, scalar = _both(monkeypatch, lambda: _tie_case(seed))
+        assert block == scalar, f"seed {seed}"
+    assert blocks
+
+
+def test_cumsum_adds_like_sequential_sum():
+    """np.cumsum over [s, x1, ..., xn] equals the scalar s += x, bit for bit."""
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        n = int(rng.integers(1, 600))
+        start = float(rng.normal(0.0, 10.0 ** rng.integers(-3, 4)))
+        values = rng.normal(0.5, 0.5, size=n)
+        run = np.empty(n + 1)
+        run[0] = start
+        run[1:] = values
+        s, sequential = start, []
+        for x in values.tolist():
+            s += x
+            sequential.append(s)
+        assert np.cumsum(run)[1:].tobytes() == np.array(sequential).tobytes()

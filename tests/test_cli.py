@@ -95,6 +95,15 @@ def test_run_rejects_non_finite_threshold(tmp_path, capsys):
     assert "threshold must be finite" in capsys.readouterr().err
 
 
+def test_run_names_arm_and_attribute_of_bad_distribution(tmp_path, capsys):
+    doc = instance_to_dict(build_synthetic("risky"))
+    doc["arms"][1]["attributes"][2]["mean"] = float("nan")
+    path = tmp_path / "nan-mean.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--algorithm", "fcsr", "--budget", "500", "--seed", "1"]) == 2
+    assert "arm 2 attribute 3: Gaussian mean must be finite, got nan" in capsys.readouterr().err
+
+
 def test_run_logs_default_seed(tmp_path, capsys):
     path = tmp_path / "risky.json"
     write_instance(build_synthetic("risky"), path)

@@ -228,6 +228,21 @@ def test_score_boundary_is_infeasible():
     assert score(_stats_with_means([0.5, 0.9]), 1, 0.5) == 0.5
 
 
+def test_score_of_row_above_threshold_stays_above_it():
+    # Every entry exceeds 0.1, yet sum / len rounds to exactly 0.1. Scored as
+    # 0.1 the row would tie with an infeasible row whose minimum is 0.1, and
+    # the lowest-index tie-break could pick the infeasible one.
+    row = [
+        0.10000000000000006, 0.10000000000000002, 0.10000000000000005,
+        0.10000000000000006, 0.10000000000000002, 0.10000000000000003,
+        0.10000000000000002,
+    ]
+    assert sum(row) / len(row) == 0.1
+    feasible = score(_stats_with_means(row), 1, 0.1)
+    assert feasible == min(row) > 0.1
+    assert feasible > score(_stats_with_means([0.1] + row[1:]), 1, 0.1)
+
+
 def test_score_permutation_behaviour():
     rng = np.random.default_rng(23)
     for _ in range(100):
