@@ -25,10 +25,11 @@ parallel across trials as long as every trial gets its own RngStream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,6 +72,7 @@ DEFAULT_EXPLORE_FRACTION = 0.5
 
 _CHUNK = 512  # single-pull buffer refill size
 _GALLOP = 32  # single pulls of a run before the rest of it goes in numpy blocks
+_BATCH = 16  # fewest (arm, attribute) cells of a uniform pass drawn in one call
 _ZERO = Fraction(0)
 
 
@@ -117,6 +119,10 @@ class ScheduleSpec:
         return sum((k + 1 - r) * d for r, d in enumerate(self.delta, start=1))
 
 
+# Memoised: the schedule is pure and frozen, and every trial of a sweep cell
+# asks for the same one. Typed, because 0, 0.0 and Fraction(0) are equal keys
+# and the spec echoes the caller's feasibility_fraction.
+@functools.lru_cache(maxsize=256, typed=True)
 def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0) -> ScheduleSpec:
     """Compute the elimination schedule exactly.
 
@@ -196,11 +202,22 @@ class _RunState:
 
     ``sums``, ``counts`` and ``mu`` hold one row of Python numbers per arm,
     zeros or a copy of ``stats``. Single pulls pop from a buffer per (arm,
-    attribute) refilled in blocks of ``_CHUNK`` from the run's generator; a
-    uniform pass draws the sum of n pulls in one shot with the exact law of
-    that sum. Both depend only on the generator and the pull history, so a
-    run is reproducible from its (seed, stream) alone. ``used`` counts
-    pulls, and no pass takes it past ``cap``.
+    attribute) refilled in blocks of ``_CHUNK`` from the run's generator; an
+    arm's buffers are allocated when it first pulls singly, which the
+    baselines never do. A uniform pass draws the sum of n pulls of each
+    attribute in one shot with the exact law of that sum. Both depend only
+    on the generator and the pull history, so a run is reproducible from its
+    (seed, stream) alone. ``used`` counts pulls, and no pass takes it past
+    ``cap``.
+
+    A uniform pass over several arms draws all its block sums with one
+    generator call when every attribute is Gaussian or every one Bernoulli
+    (``BanditInstance._sum_law``), the pass has at least ``_BATCH`` cells and
+    the cap does not cut it short; the call yields the values of one call
+    per cell, in the same order. Below ``_BATCH`` cells, such as FCSR's
+    one-arm passes at M = 5, the array call's fixed cost exceeds the
+    per-cell calls it saves, so those stay one ``draw_sum`` per cell, as do
+    Empirical and mixed instances.
 
     The adaptive thresholding and sample-until-feasible passes pull one
     attribute for a run of steps at a time. The first ``_GALLOP`` pulls of a
@@ -211,17 +228,19 @@ class _RunState:
     block.
     """
 
-    __slots__ = ("arms", "gen", "bufs", "chunks", "sums", "counts", "mu", "used", "cap")
+    __slots__ = ("arms", "law", "gen", "bufs", "chunks", "sums", "counts", "mu", "used", "cap")
 
     def __init__(
         self, instance: BanditInstance, gen: np.random.Generator, cap: int,
         stats: StatsState | None = None,
     ) -> None:
         k, m = instance.num_arms, instance.num_attributes
-        self.arms, self.gen, self.used, self.cap = instance.arms, gen, 0, cap
+        self.arms, self.law, self.gen = instance.arms, instance._sum_law, gen
+        self.used, self.cap = 0, cap
         # bufs[i][j] holds the unread tail of chunks[i, j], the last block
-        # drawn for (i, j), in reverse order so that a pull is a pop.
-        self.bufs: list[list[list[float]]] = [[[] for _ in range(m)] for _ in range(k)]
+        # drawn for (i, j), in reverse order so that a pull is a pop;
+        # bufs[i] is None until arm i first pulls singly (``_arm_bufs``).
+        self.bufs: list[list[list[float]] | None] = [None] * k
         self.chunks: dict[tuple[int, int], np.ndarray] = {}
         if stats is None:
             self.sums = [[0.0] * m for _ in range(k)]
@@ -231,6 +250,13 @@ class _RunState:
             self.sums = stats.reward_sums.tolist()
             self.counts = stats.pull_counts.tolist()
             self.mu = stats.empirical_means.tolist()
+
+    def _arm_bufs(self, i: int) -> list[list[float]]:
+        """Arm ``i``'s single-pull buffers, allocated on first use."""
+        bufs = self.bufs[i]
+        if bufs is None:
+            bufs = self.bufs[i] = [[] for _ in self.sums[i]]
+        return bufs
 
     def _refill(self, i: int, j: int) -> None:
         """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer."""
@@ -278,26 +304,43 @@ class _RunState:
             if ended or done == n:
                 return done, s, c, est
 
-    def uniform(self, i: int, budget: int) -> int:
-        """floor(budget / M) pulls of each attribute of arm ``i``, in order."""
-        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
-        m = len(sums)
+    def uniform(self, arms: Sequence[int], budget: int) -> int:
+        """floor(budget / M) pulls of each attribute of each of ``arms``, arm
+        by arm in the order given and attributes in index order, until the
+        cap; the sum of each (arm, attribute) block is one draw."""
+        m = len(self.sums[0])
         limit = self.cap - self.used
         quota = budget // m
         if quota <= 0 or limit <= 0:
             return 0
-        dists, gen = self.arms[i], self.gen
-        used = 0
-        for j in range(m):
-            take = quota if quota <= limit - used else limit - used
-            if take <= 0:
-                break
-            s = sums[j] + dists[j].draw_sum(take, gen)
-            c = counts[j] + take
-            sums[j] = s
-            counts[j] = c
-            mu[j] = s / c
-            used += take
+        cells = len(arms) * m
+        gen = self.gen
+        if self.law is not None and cells >= _BATCH and quota * cells <= limit:
+            family, params = self.law
+            rows = family._draw_sums(quota, params.take(arms, 1), gen).tolist()
+            for i, row in zip(arms, rows):
+                sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+                for j, x in enumerate(row):
+                    s = sums[j] + x
+                    c = counts[j] + quota
+                    sums[j] = s
+                    counts[j] = c
+                    mu[j] = s / c
+            used = quota * cells
+        else:  # one draw_sum per cell; the cap may cut the pass short
+            used = 0
+            for i in arms:
+                sums, counts, mu, dists = self.sums[i], self.counts[i], self.mu[i], self.arms[i]
+                for j in range(m):
+                    take = quota if quota <= limit - used else limit - used
+                    if take <= 0:
+                        break
+                    s = sums[j] + dists[j].draw_sum(take, gen)
+                    c = counts[j] + take
+                    sums[j] = s
+                    counts[j] = c
+                    mu[j] = s / c
+                    used += take
         self.used += used
         return used
 
@@ -315,7 +358,7 @@ class _RunState:
         steps = budget if budget <= limit else limit
         if steps <= 0:
             return 0
-        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self.bufs[i]
+        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self._arm_bufs(i)
         m = len(sums)
         sqrt = math.sqrt
         inf = math.inf
@@ -373,7 +416,7 @@ class _RunState:
         cap = feasibility_budget if feasibility_budget <= limit else limit
         if cap <= 0:
             return 0
-        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self.bufs[i]
+        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self._arm_bufs(i)
         m = len(sums)
         used = 0
         while used < cap:
@@ -457,7 +500,9 @@ def uniform_phase(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _on_row(instance, stats, arm, budget, rng, _RunState.uniform, budget)
+    return _on_row(
+        instance, stats, arm, budget, rng, lambda state, i: state.uniform((i,), budget)
+    )
 
 
 def apt_phase(
@@ -529,14 +574,17 @@ def _successive_rejects(
         extra_pool -= share * len(active)
         uniform_budget = _floor_mul(keep, increment) + share
         apt_budget = _floor_mul(g, increment)
-        for i in active:
-            phase_pulls["uniform"] += state.uniform(i, uniform_budget)
-            if apt_budget:
-                phase_pulls["apt"] += state.apt(i, apt_budget, threshold)
-            if feas_budget[i]:
-                pulls = state.suf(i, feas_budget[i], threshold)
-                feas_budget[i] -= pulls
-                phase_pulls["suf"] += pulls
+        if apt_budget or any(feas_budget):
+            for i in active:
+                phase_pulls["uniform"] += state.uniform((i,), uniform_budget)
+                if apt_budget:
+                    phase_pulls["apt"] += state.apt(i, apt_budget, threshold)
+                if feas_budget[i]:
+                    pulls = state.suf(i, feas_budget[i], threshold)
+                    feas_budget[i] -= pulls
+                    phase_pulls["suf"] += pulls
+        else:  # nothing else draws this round: one uniform pass over every arm
+            phase_pulls["uniform"] += state.uniform(active, uniform_budget)
         scored = state.scored(active, threshold)
         round_scores.append(_ids(scored))
         loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
@@ -585,9 +633,7 @@ def run_fcsr(
 def _uniform_stage(state: _RunState, arms, budget: int, tau: float) -> list[tuple[int, float]]:
     """floor(budget / (|arms| M)) pulls of each attribute of ``arms``; returns their scores."""
     m = len(state.sums[0])
-    quota = budget // (len(arms) * m)
-    for i in arms:
-        state.uniform(i, quota * m)
+    state.uniform(arms, budget // (len(arms) * m) * m)
     return state.scored(arms, tau)
 
 

@@ -74,6 +74,17 @@ class Gaussian:
             return 0.0
         return float(gen.normal(n * self.mean, math.sqrt(n * self.variance)))
 
+    @staticmethod
+    def _draw_sums(n: int, params: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """:meth:`draw_sum` of ``n`` pulls for each attribute whose mean and
+        variance are the entries of ``params[0]`` and ``params[1]``, in one
+        generator call. numpy draws an array of normals one entry at a time,
+        from the loc and scale that ``draw_sum`` computes with the same
+        float operations, so the values, and the generator state after them,
+        equal one ``draw_sum`` per entry in C order."""
+        q = n * params
+        return gen.normal(q[0], np.sqrt(q[1]))
+
 
 @dataclass(frozen=True)
 class Bernoulli:
@@ -98,6 +109,13 @@ class Bernoulli:
         if n <= 0:
             return 0.0
         return float(gen.binomial(n, self.p))
+
+    @staticmethod
+    def _draw_sums(n: int, params: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """:meth:`draw_sum` of ``n`` pulls for each attribute whose ``p`` is an
+        entry of ``params[0]``, in one generator call; the same values as one
+        ``draw_sum`` per entry in C order (see :meth:`Gaussian._draw_sums`)."""
+        return gen.binomial(n, params[0])
 
 
 @dataclass(frozen=True)
@@ -240,6 +258,24 @@ class BanditInstance:
         return np.array(
             [[d.true_mean() for d in row] for row in self.arms], dtype=np.float64
         )
+
+    @cached_property
+    def _sum_law(self) -> tuple[type, np.ndarray] | None:
+        """(family, parameters) when every attribute is Gaussian or every one
+        is Bernoulli, so that ``family._draw_sums`` can draw the block sums of
+        many attributes in one call; else None. ``parameters[f, i, j]`` is
+        field f (mean and variance, or p) of attribute (i, j). Each Empirical
+        attribute has its own support, so its sums stay one ``multinomial``
+        call each, and so do those of a mixed instance."""
+        families = {type(d) for row in self.arms for d in row}
+        if families == {Gaussian}:
+            fields = ("mean", "variance")
+        elif families == {Bernoulli}:
+            fields = ("p",)
+        else:
+            return None
+        params = [[[getattr(d, f) for d in row] for row in self.arms] for f in fields]
+        return families.pop(), np.array(params, dtype=np.float64)
 
     @cached_property
     def arm_means(self) -> np.ndarray:

@@ -13,13 +13,16 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_PARAMS, run_algorithm
 from .core import BanditInstance, Gaussian, RngStream, oracle
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "GAUSSIAN_VARIANCE",
@@ -352,9 +355,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (algorithm, budget) cell for ``config.trials`` trials.
 
     Trials are independent and stream-isolated, so the result is identical
-    for any ``workers`` value and any execution order. A cell whose run
-    raises is recorded with a note and NaN statistics instead of aborting
-    the sweep.
+    for any ``workers`` value and any execution order. A worker that dies
+    breaks the whole process pool: the pool is then started again and the
+    cell run once more, with a note saying so. A cell whose run raises
+    otherwise, or breaks the new pool too, is recorded with a note and NaN
+    statistics instead of aborting the sweep.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -362,10 +367,19 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     min_pulls = config.instance.num_arms * config.instance.num_attributes
     cells = []
     executor = None
+    broken: tuple[type[Exception], ...] = ()  # what a crashed worker raises
     if workers > 1:
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config.instance,)
-        )
+        # Imported here, so that a one-worker sweep does not load them.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        def start_pool() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(config.instance,)
+            )
+
+        executor = start_pool()
+        broken = (BrokenProcessPool,)
     try:
         for algorithm in config.algorithms:
             params = dict(config.params.get(algorithm, {}))
@@ -374,10 +388,16 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                 note = "" if budget >= min_pulls else (
                     f"budget below one pull per attribute ({min_pulls})"
                 )
+                cell = (config, truth.best_arm, algorithm, budget, params)
+                retried = ""
                 try:
-                    errors = _run_cell(
-                        config, truth.best_arm, algorithm, budget, params, executor, workers
-                    )
+                    try:
+                        errors = _run_cell(*cell, executor, workers)
+                    except broken:
+                        executor.shutdown()
+                        executor = start_pool()
+                        retried = "retried after a worker crash"
+                        errors = _run_cell(*cell, executor, workers)
                 except Exception as exc:  # recorded per-cell, not fatal
                     cells.append(
                         CellResult(
@@ -390,7 +410,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                             delta_band=math.nan,
                             bernoulli_ci=math.nan,
                             wall_time=time.perf_counter() - start,
-                            note=f"failed: {exc}",
+                            note="; ".join(filter(None, (retried, f"failed: {exc}"))),
                         )
                     )
                     continue
@@ -407,7 +427,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                         delta_band=delta,
                         bernoulli_ci=bernoulli,
                         wall_time=time.perf_counter() - start,
-                        note=note,
+                        note="; ".join(filter(None, (note, retried))),
                     )
                 )
     finally:
@@ -427,7 +447,7 @@ def _run_cell(
     algorithm: str,
     budget: int,
     params: dict[str, float],
-    executor: ProcessPoolExecutor | None,
+    executor: Executor | None,
     workers: int,
 ) -> int:
     n = config.trials

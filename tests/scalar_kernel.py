@@ -1,12 +1,15 @@
-"""Test-only oracle: the adaptive thresholding and sample-until-feasible
-passes with one pull per loop step, as the run engine computed them before
-long runs of pulls went in numpy blocks.
+"""Test-only oracle: the run engine's passes as it computed them before
+long runs of pulls went in numpy blocks and before a uniform pass drew the
+block sums of many cells in one generator call.
 
 ``ScalarRunState`` keeps everything of ``fcsr.algorithms._RunState`` but its
-``apt`` and ``suf`` passes, which are the old loops verbatim, and the single
-pull ``one`` they use. Put in place of ``fcsr.algorithms._RunState`` (the
-tests use pytest's ``monkeypatch``), it lets the public phase functions and
-full runs be replayed one pull at a time and compared with the block kernel
+``apt`` and ``suf`` passes, which are the old loops with one pull per step,
+the single pull ``one`` they use, and its ``uniform`` pass, which makes one
+``draw_sum`` call per (arm, attribute) cell through the old one-arm pass
+``uniform_arm``. The loops are verbatim, and ``one`` differs only in where
+it finds the arm's buffers. Put in place of ``fcsr.algorithms._RunState`` (the tests use
+pytest's ``monkeypatch``), it lets the public phase functions and full runs
+be replayed one pull and one cell at a time and compared with the kernels
 bit for bit.
 """
 
@@ -18,10 +21,38 @@ from fcsr.algorithms import _CHUNK, _RunState
 
 
 class ScalarRunState(_RunState):
-    """``_RunState`` with the one-pull-per-step APT and SUF loops."""
+    """``_RunState`` with the one-pull-per-step APT and SUF loops and the
+    one-call-per-cell uniform pass."""
+
+    def uniform(self, arms, budget: int) -> int:
+        """``uniform_arm`` on each of ``arms`` in turn."""
+        return sum(self.uniform_arm(i, budget) for i in arms)
+
+    def uniform_arm(self, i: int, budget: int) -> int:
+        """floor(budget / M) pulls of each attribute of arm ``i``, in order."""
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        m = len(sums)
+        limit = self.cap - self.used
+        quota = budget // m
+        if quota <= 0 or limit <= 0:
+            return 0
+        dists, gen = self.arms[i], self.gen
+        used = 0
+        for j in range(m):
+            take = quota if quota <= limit - used else limit - used
+            if take <= 0:
+                break
+            s = sums[j] + dists[j].draw_sum(take, gen)
+            c = counts[j] + take
+            sums[j] = s
+            counts[j] = c
+            mu[j] = s / c
+            used += take
+        self.used += used
+        return used
 
     def one(self, i: int, j: int) -> float:
-        buf = self.bufs[i][j]
+        buf = self._arm_bufs(i)[j]
         if not buf:
             vals = self.arms[i][j].draw_many(_CHUNK, self.gen)
             buf.extend(vals[::-1].tolist())

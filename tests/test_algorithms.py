@@ -76,6 +76,22 @@ def test_schedule_validation():
         build_schedule(3, 100, 1.0)
 
 
+def test_schedule_cache_echoes_each_callers_fraction():
+    """``build_schedule`` is memoised. 0, 0.0 and Fraction(0) are equal keys
+    with equal hashes, as are 0.2 and np.float64(0.2), so the cache must keep
+    them apart: each caller gets a spec equal to a fresh computation that
+    echoes its own value and type, called before or after the others."""
+    fractions = (0, 0.0, Fraction(0), 0.2, np.float64(0.2), Fraction(1, 5), 0.5, Fraction(1, 2))
+    grid = [(k, budget, f) for k in (2, 3, 10) for budget in (0, 7, 1001, 90_000) for f in fractions]
+    for args in grid + grid[::-1]:
+        fresh = build_schedule.__wrapped__(*args)
+        spec = build_schedule(*args)
+        assert spec == fresh
+        assert spec is build_schedule(*args)
+        assert spec.feasibility_fraction == args[2]
+        assert type(spec.feasibility_fraction) is type(args[2])
+
+
 # ---------------------------------------------------------------------------
 # Uniform phase
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Harness tests: benchmark construction, sweeps, aggregation, bands."""
 
 import math
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -148,6 +150,52 @@ def test_sweep_repeatable_and_worker_invariant():
     parallel = run_sweep(config, workers=2)
     assert serial_a == serial_b
     assert serial_a == parallel  # wall_time excluded from equality
+
+
+@dataclass(frozen=True)
+class _CrashOnce(Bernoulli):
+    """A Bernoulli attribute whose first block sum drawn outside process
+    ``parent``, in any process, kills that process; the file ``flag`` marks
+    that it happened. The instance reaches pool workers pickled or forked,
+    so this works under any start method."""
+
+    flag: str = ""
+    parent: int = 0
+
+    def draw_sum(self, n, gen):
+        if os.getpid() != self.parent:
+            try:
+                open(self.flag, "x").close()
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return super().draw_sum(n, gen)
+
+
+def test_sweep_survives_a_worker_crash(tmp_path):
+    """One worker dies once: the pool is started again, that cell is run
+    once more, and every cell equals the one-worker sweep's."""
+    flag = tmp_path / "crashed"
+    crash = _CrashOnce(0.7, flag=str(flag), parent=os.getpid())
+    instance = BanditInstance(
+        arms=((crash, Bernoulli(0.6)), (Bernoulli(0.8), Bernoulli(0.4))), threshold=0.5
+    )
+    config = SweepConfig(
+        instance=instance,
+        algorithms=("us", "sr", "etc"),
+        budgets=(20, 40),
+        trials=12,
+        base_seed=3,
+        instance_name="crash-once",
+    )
+    parallel = run_sweep(config, workers=2)
+    assert flag.exists()
+    serial = run_sweep(config, workers=1)
+    notes = [cell.note for cell in parallel.cells]
+    assert notes == ["retried after a worker crash"] + [""] * 5
+    assert [replace(cell, note="") for cell in parallel.cells] == list(serial.cells)
+    assert all(cell.error_count >= 0 for cell in serial.cells)
 
 
 def test_sweep_counts_are_integers():
