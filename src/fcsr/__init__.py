@@ -32,9 +32,7 @@ from .core import (
     RngStream,
     StatsState,
     oracle,
-    sample,
     score,
-    update,
 )
 from .hardness import (
     ExponentPrediction,
@@ -91,11 +89,9 @@ __all__ = [
     "run_sr_baseline",
     "run_sweep",
     "run_uniform_baseline",
-    "sample",
     "sample_until_feasible",
     "score",
     "trial_stream_id",
     "uniform_phase",
-    "update",
     "weighted_log_error_slope",
 ]

@@ -165,13 +165,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_sweep_config(
-        args.config, seed_override=args.seed, fallback_seed=DEFAULT_SEED
-    )
-    if args.seed is None and "base_seed" not in json.loads(
-        Path(args.config).read_text(encoding="utf-8")
-    ):
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.config}: a sweep config must be a JSON object")
+    seed = args.seed if args.seed is not None else doc.get("base_seed")
+    if seed is None:
         _log(f"no seed in config and no --seed given; using recorded default {DEFAULT_SEED}")
+        seed = DEFAULT_SEED
+    config = load_sweep_config(doc, seed)
     _log(
         f"sweep: instance={config.instance_name} algorithms={list(config.algorithms)} "
         f"budgets={list(config.budgets)} trials={config.trials} workers={args.workers}"

@@ -14,7 +14,7 @@ and in algorithm decisions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -29,8 +29,6 @@ __all__ = [
     "StatsState",
     "RngStream",
     "OracleResult",
-    "sample",
-    "update",
     "score",
     "oracle",
 ]
@@ -61,9 +59,6 @@ class Gaussian:
 
     def true_mean(self) -> float:
         return self.mean
-
-    def draw(self, gen: np.random.Generator) -> float:
-        return float(gen.normal(self.mean, self.std))
 
     def draw_many(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(self.mean, self.std, size=n)
@@ -98,9 +93,6 @@ class Bernoulli:
 
     def true_mean(self) -> float:
         return self.p
-
-    def draw(self, gen: np.random.Generator) -> float:
-        return 1.0 if gen.random() < self.p else 0.0
 
     def draw_many(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return (gen.random(n) < self.p).astype(np.float64)
@@ -149,9 +141,6 @@ class Empirical:
     def true_mean(self) -> float:
         return float(self._array.mean())
 
-    def draw(self, gen: np.random.Generator) -> float:
-        return float(self._array[gen.integers(0, len(self.values))])
-
     def draw_many(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return self._array[gen.integers(0, len(self.values), size=n)]
 
@@ -169,45 +158,25 @@ AttributeDistribution = Union[Gaussian, Bernoulli, Empirical]
 class RngStream:
     """Reproducible random stream identified by (seed, stream_id).
 
-    Two streams with the same (seed, stream_id) produce the same reward
-    sequence for the same pull sequence. ``generator()`` always returns a
-    fresh generator positioned at the start of the stream, so a run that is
-    handed an RngStream is deterministic regardless of what the caller drew
-    from the stream before.
+    An RngStream holds no generator state: ``generator()`` returns a fresh
+    generator positioned at the start of the stream each time, so a run that
+    is handed an RngStream makes the same draws however often the stream was
+    used before.
     """
 
     seed: int
     stream_id: int = 0
-    _gen: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream."""
         entropy = (self.seed % (1 << 64), self.stream_id % (1 << 64))
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-    def _advancing(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = self.generator()
-        return self._gen
-
 
 def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng
-
-
-def sample(dist: AttributeDistribution, rng: RngStream | np.random.Generator) -> float:
-    """Draw one reward from ``dist``.
-
-    Successive calls with the same RngStream advance through the stream, so a
-    fixed pull sequence replays the same rewards.
-    """
-    if isinstance(rng, RngStream):
-        return dist.draw(rng._advancing())
-    return dist.draw(rng)
 
 
 @dataclass(frozen=True)
@@ -282,9 +251,6 @@ class BanditInstance:
         """Length-K vector of true arm means (simple attribute average)."""
         return self.attribute_means.mean(axis=1)
 
-    def distribution(self, arm: int, attribute: int) -> AttributeDistribution:
-        return self.arms[arm - 1][attribute - 1]
-
     def feasible_arms(self) -> tuple[int, ...]:
         """Arms whose every attribute mean strictly exceeds the threshold."""
         mask = (self.attribute_means > self.threshold).all(axis=1)
@@ -336,9 +302,10 @@ def oracle(instance: BanditInstance) -> OracleResult:
 class StatsState:
     """Running per-attribute statistics: reward sums, pull counts, empirical means.
 
-    The empirical mean of a never-pulled attribute is 0 (the update rule
-    divides by max(count, 1)), which deliberately makes unsampled attributes
-    look infeasible for any threshold >= 0.
+    Each empirical mean is its reward sum over its pull count. A
+    never-pulled attribute has sum 0 and count 0, and its mean reads 0, as
+    if the count were 1; this deliberately makes unsampled attributes look
+    infeasible for any threshold >= 0.
 
     Single-writer: parallel trials must each own a private StatsState (and
     RngStream); nothing here is synchronized.
@@ -364,21 +331,8 @@ class StatsState:
     def num_arms(self) -> int:
         return self.reward_sums.shape[0]
 
-    @property
-    def num_attributes(self) -> int:
-        return self.reward_sums.shape[1]
-
     def total_pulls(self) -> int:
         return int(self.pull_counts.sum())
-
-    def update(self, arm: int, attribute: int, reward: float) -> None:
-        """Record one observed reward for (arm, attribute); other cells untouched."""
-        i, j = self._index(arm, attribute)
-        s = self.reward_sums[i, j] + reward
-        c = self.pull_counts[i, j] + 1
-        self.reward_sums[i, j] = s
-        self.pull_counts[i, j] = c
-        self.empirical_means[i, j] = s / c
 
     def min_empirical_mean(self, arm: int) -> float:
         return float(self.empirical_means[arm - 1].min())
@@ -389,21 +343,6 @@ class StatsState:
             self.pull_counts.copy(),
             self.empirical_means.copy(),
         )
-
-    def _index(self, arm: int, attribute: int) -> tuple[int, int]:
-        if not 1 <= arm <= self.num_arms:
-            raise IndexError(f"arm {arm} out of range 1..{self.num_arms}")
-        if not 1 <= attribute <= self.num_attributes:
-            raise IndexError(
-                f"attribute {attribute} out of range 1..{self.num_attributes}"
-            )
-        return arm - 1, attribute - 1
-
-
-def update(stats: StatsState, arm: int, attribute: int, reward: float) -> StatsState:
-    """Functional wrapper over :meth:`StatsState.update`; mutates and returns ``stats``."""
-    stats.update(arm, attribute, reward)
-    return stats
 
 
 def _gated_mean(row: list[float], threshold: float) -> float:

@@ -18,7 +18,7 @@ import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -60,16 +60,13 @@ class Movie:
 class RatingsCorpus:
     """Parsed ratings joined against the movie table.
 
-    ``user_ids``, ``movie_ids``, ``ratings`` and ``timestamps`` are aligned
-    columns; rows that failed to parse, fell outside the rating scale, or
-    referenced an unknown movie are counted in ``skipped_rows`` rather than
-    kept.
+    ``movie_ids`` and ``ratings`` are aligned columns; rows that failed to
+    parse, fell outside the rating scale, or referenced an unknown movie are
+    counted in ``skipped_rows`` rather than kept.
     """
 
-    user_ids: np.ndarray
     movie_ids: np.ndarray
     ratings: np.ndarray
-    timestamps: np.ndarray
     movies: dict[int, Movie]
     skipped_rows: int = 0
     _by_movie: dict[int, np.ndarray] | None = field(
@@ -78,12 +75,6 @@ class RatingsCorpus:
 
     def __len__(self) -> int:
         return len(self.ratings)
-
-    def iter_rows(self) -> Iterator[tuple[int, int, float, int]]:
-        for u, m, r, t in zip(
-            self.user_ids, self.movie_ids, self.ratings, self.timestamps
-        ):
-            yield int(u), int(m), float(r), int(t)
 
     def ratings_for(self, movie_id: int) -> np.ndarray:
         if self._by_movie is None:
@@ -142,10 +133,8 @@ def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCo
             )
             movies[movie_id] = Movie(title=row[1], genres=genres)
 
-    users: list[int] = []
     mids: list[int] = []
     vals: list[float] = []
-    stamps: list[int] = []
     skipped = 0
     total = 0
     handle, reader = _open_csv(ratings_path, _RATINGS_HEADER)
@@ -156,20 +145,18 @@ def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCo
                 skipped += 1
                 continue
             try:
-                user = int(row[0])
+                int(row[0])  # the user id and timestamp are checked, not kept
                 movie_id = int(row[1])
                 rating = float(row[2])
-                stamp = int(row[3])
+                int(row[3])
             except ValueError:
                 skipped += 1
                 continue
             if not RATING_MIN <= rating <= RATING_MAX or movie_id not in movies:
                 skipped += 1
                 continue
-            users.append(user)
             mids.append(movie_id)
             vals.append(rating)
-            stamps.append(stamp)
     if total == 0:
         raise ValueError(f"{ratings_path}: no ratings")
     if skipped > 0.01 * total:
@@ -179,10 +166,8 @@ def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCo
     if not vals:
         raise ValueError(f"{ratings_path}: no ratings")
     return RatingsCorpus(
-        user_ids=np.asarray(users, dtype=np.int64),
         movie_ids=np.asarray(mids, dtype=np.int64),
         ratings=np.asarray(vals, dtype=np.float64),
-        timestamps=np.asarray(stamps, dtype=np.int64),
         movies=movies,
         skipped_rows=skipped,
     )

@@ -108,26 +108,40 @@ def read_instance(path: str | Path) -> BanditInstance:
     return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+# The keyword arguments of ``build_synthetic`` an instance block may set,
+# each with the type its value is read as.
+_SYNTHETIC_KEYS = {"gap": float, "num_arms": int, "num_attributes": int, "variance": float}
+
+# The keys of a sweep config document, required ones first.
+_SWEEP_REQUIRED = ("instance", "algorithms", "budgets", "trials")
+_SWEEP_KEYS = (*_SWEEP_REQUIRED, "base_seed", "params")
+
+
 def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
     """Resolve an instance reference to (instance, display name).
 
     A string reference may be a synthetic instance name, the built-in
     ``table1-surrogate``, or a path to an instance document; a dict is
     synthetic-instance keyword arguments (``name`` plus optional ``gap``,
-    ``num_arms``, ``num_attributes``).
+    ``num_arms``, ``num_attributes``, ``variance``). A key the dict form
+    does not read is an error, so that a misspelt key cannot silently
+    leave a default in place.
     """
     if isinstance(ref, dict):
+        unread = [key for key in ref if key != "name" and key not in _SYNTHETIC_KEYS]
+        if unread:
+            raise ValueError(
+                f"instance block has keys it does not read: {unread}; "
+                f"valid: {['name', *_SYNTHETIC_KEYS]}"
+            )
         name = ref.get("name")
         if name not in SYNTHETIC_NAMES:
             raise ValueError(f"unknown synthetic instance name {name!r}")
-        instance = build_synthetic(
-            name,
-            gap=ref.get("gap"),
-            num_arms=int(ref.get("num_arms", 10)),
-            num_attributes=int(ref.get("num_attributes", 5)),
-            variance=float(ref.get("variance", 0.3)),
-        )
-        return instance, name
+        kwargs = {
+            key: read(ref[key]) for key, read in _SYNTHETIC_KEYS.items()
+            if ref.get(key) is not None
+        }
+        return build_synthetic(name, **kwargs), name
     if ref in SYNTHETIC_NAMES:
         return build_synthetic(ref), ref
     if ref == "table1-surrogate":
@@ -141,27 +155,23 @@ def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
     return read_instance(path), path.name
 
 
-def load_sweep_config(
-    path: str | Path,
-    seed_override: int | None = None,
-    fallback_seed: int | None = None,
-) -> SweepConfig:
-    """Parse a sweep configuration document.
+def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
+    """The sweep configuration of a parsed config document, run at ``base_seed``.
 
     Required keys: ``instance``, ``algorithms``, ``budgets``, ``trials``.
-    Optional: ``base_seed``. The seed resolution order is ``seed_override``
-    (command line), the document's ``base_seed``, then ``fallback_seed``.
+    Optional: ``base_seed``, which the caller resolves into ``base_seed``
+    (the command line's ``--seed`` comes first), and ``params``. Any other
+    key is an error.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = [k for k in ("instance", "algorithms", "budgets", "trials") if k not in doc]
+    unread = [key for key in doc if key not in _SWEEP_KEYS]
+    if unread:
+        raise ValueError(
+            f"sweep config has keys it does not read: {unread}; valid: {list(_SWEEP_KEYS)}"
+        )
+    missing = [k for k in _SWEEP_REQUIRED if k not in doc]
     if missing:
         raise ValueError(f"sweep config is missing keys: {', '.join(missing)}")
     instance, name = resolve_instance(doc["instance"])
-    base_seed = seed_override if seed_override is not None else doc.get("base_seed")
-    if base_seed is None:
-        base_seed = fallback_seed
-    if base_seed is None:
-        raise ValueError("sweep config has no base_seed and no seed was given")
     return SweepConfig(
         instance=instance,
         algorithms=tuple(doc["algorithms"]),

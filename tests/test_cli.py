@@ -172,6 +172,21 @@ def test_sweep_rejects_empty_algorithms(tmp_path):
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) != 0
 
 
+def test_sweep_rejects_keys_it_does_not_read(tmp_path, capsys):
+    # A misspelt key would otherwise leave its default in place and exit 0.
+    for overrides, key in (
+        ({"instance": {"name": "risky", "varaince": 0.09}}, "varaince"),
+        ({"param": {"etc": {"explore_fraction": 0.5}}}, "param"),
+    ):
+        config = _sweep_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"keys it does not read: ['{key}']" in capsys.readouterr().err
+    config.write_text(json.dumps(["instance", "algorithms", "budgets", "trials"]))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_sweep_instance_from_file(tmp_path):
     inst_path = tmp_path / "inst.json"
     write_instance(build_synthetic("mean"), inst_path)

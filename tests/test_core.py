@@ -1,10 +1,13 @@
-"""Environment-layer tests: distributions, statistics updates, scores, oracle."""
+"""Environment-layer tests: distributions, statistics, scores, oracle, and
+the public names of every module."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from fcsr.algorithms import apt_phase, sample_until_feasible, uniform_phase
 from fcsr.core import (
     BanditInstance,
     Bernoulli,
@@ -13,9 +16,7 @@ from fcsr.core import (
     RngStream,
     StatsState,
     oracle,
-    sample,
     score,
-    update,
 )
 from fcsr.harness import build_synthetic
 from fcsr.movielens import table1_surrogate_instance
@@ -53,15 +54,15 @@ def test_distribution_validation():
 
 
 def test_degenerate_bernoulli_always_one():
-    rng = RngStream(seed=1)
-    assert all(sample(Bernoulli(1.0), rng) == 1.0 for _ in range(25))
-    rng = RngStream(seed=1)
-    assert all(sample(Bernoulli(0.0), rng) == 0.0 for _ in range(25))
+    gen = RngStream(seed=1).generator()
+    assert (Bernoulli(1.0).draw_many(25, gen) == 1.0).all()
+    gen = RngStream(seed=1).generator()
+    assert (Bernoulli(0.0).draw_many(25, gen) == 0.0).all()
 
 
 def test_zero_variance_gaussian_is_constant():
-    rng = RngStream(seed=2)
-    assert all(sample(Gaussian(0.7, 0.0), rng) == 0.7 for _ in range(25))
+    gen = RngStream(seed=2).generator()
+    assert (Gaussian(0.7, 0.0).draw_many(25, gen) == 0.7).all()
 
 
 def test_empirical_law_of_large_numbers():
@@ -119,87 +120,54 @@ def test_draw_sum_degenerate_cases():
 
 
 def test_rng_stream_reproducible():
-    a = [sample(Gaussian(0.0, 1.0), RngStream(42, 7)) for _ in range(1)]
     first = RngStream(42, 7).generator().normal(size=10)
     again = RngStream(42, 7).generator().normal(size=10)
     other = RngStream(42, 8).generator().normal(size=10)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
-    assert a == [first[0]]  # sample() starts from the same stream position
-
-
-def test_rng_stream_sequence_replays():
-    dist = Gaussian(0.3, 0.5)
-    s1 = RngStream(5, 1)
-    s2 = RngStream(5, 1)
-    seq1 = [sample(dist, s1) for _ in range(20)]
-    seq2 = [sample(dist, s2) for _ in range(20)]
-    assert seq1 == seq2
 
 
 # ---------------------------------------------------------------------------
-# Statistics updates
+# Statistics under the phase functions
 # ---------------------------------------------------------------------------
 
 
-def test_update_arithmetic():
-    stats = StatsState.zeros(1, 1)
-    stats.reward_sums[0, 0] = 2.0
-    stats.pull_counts[0, 0] = 4
-    stats.empirical_means[0, 0] = 0.5
-    update(stats, 1, 1, 0.5)
-    assert stats.reward_sums[0, 0] == 2.5
-    assert stats.pull_counts[0, 0] == 5
-    assert stats.empirical_means[0, 0] == 0.5
-
-
-def test_update_first_pull():
-    stats = StatsState.zeros(2, 2)
-    update(stats, 1, 2, 0.9)
-    assert stats.reward_sums[0, 1] == 0.9
-    assert stats.pull_counts[0, 1] == 1
-    assert stats.empirical_means[0, 1] == 0.9
-
-
-def test_update_touches_only_one_cell():
-    rng = np.random.default_rng(9)
-    stats = StatsState.zeros(4, 3)
-    for _ in range(50):
-        stats.update(
-            int(rng.integers(1, 5)), int(rng.integers(1, 4)), float(rng.normal())
-        )
-    before = stats.copy()
-    stats.update(2, 3, 1.25)
-    mask = np.ones((4, 3), dtype=bool)
-    mask[1, 2] = False
-    assert np.array_equal(stats.reward_sums[mask], before.reward_sums[mask])
-    assert np.array_equal(stats.pull_counts[mask], before.pull_counts[mask])
-    assert np.array_equal(stats.empirical_means[mask], before.empirical_means[mask])
+def _phase_calls(instance, stats, arm, budget, gen):
+    """One call of each phase function on ``arm``; each returns its pulls."""
+    tau = instance.threshold
+    return [
+        lambda: uniform_phase(instance, stats, arm, budget, gen),
+        lambda: apt_phase(instance, stats, arm, budget, tau, gen),
+        lambda: budget - sample_until_feasible(instance, stats, arm, budget, tau, gen),
+    ]
 
 
 def test_update_index_errors():
-    stats = StatsState.zeros(2, 2)
-    with pytest.raises(IndexError):
-        stats.update(0, 1, 0.0)
-    with pytest.raises(IndexError):
-        stats.update(3, 1, 0.0)
-    with pytest.raises(IndexError):
-        stats.update(1, 0, 0.0)
-    with pytest.raises(IndexError):
-        stats.update(1, 3, 0.0)
+    # Arms are numbered 1..K; every phase function rejects 0 and K + 1.
+    instance = build_synthetic("risky", num_arms=3, num_attributes=2)
+    stats = StatsState.for_instance(instance)
+    gen = np.random.default_rng(0)
+    for arm in (0, instance.num_arms + 1):
+        for call in _phase_calls(instance, stats, arm, 10, gen):
+            with pytest.raises(IndexError, match=f"arm {arm} out of range"):
+                call()
+    assert stats.total_pulls() == 0
 
 
 def test_stats_invariants_after_random_updates():
+    # Arm 4 is never pulled, so its means must read 0.
+    instance = build_synthetic("risky", num_arms=4, num_attributes=3)
+    stats = StatsState.for_instance(instance)
     rng = np.random.default_rng(17)
-    stats = StatsState.zeros(3, 4)
-    n = 500
-    for _ in range(n):
-        stats.update(
-            int(rng.integers(1, 4)), int(rng.integers(1, 5)), float(rng.normal())
-        )
-    assert stats.total_pulls() == n
+    gen = np.random.default_rng(18)
+    pulls = 0
+    for _ in range(90):
+        arm, budget = int(rng.integers(1, 4)), int(rng.integers(0, 200))
+        pulls += _phase_calls(instance, stats, arm, budget, gen)[int(rng.integers(3))]()
+    assert stats.total_pulls() == pulls > 0
+    assert (stats.pull_counts[3] == 0).all() and (stats.pull_counts[:3] > 0).all()
     expected = stats.reward_sums / np.maximum(stats.pull_counts, 1)
-    assert np.array_equal(stats.empirical_means, expected)
+    assert stats.empirical_means.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +298,20 @@ def test_instance_validation():
         BanditInstance(
             arms=((Bernoulli(0.5),),), threshold=0.5, arm_labels=("a", "b")
         )
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["fcsr", "fcsr.algorithms", "fcsr.core", "fcsr.hardness", "fcsr.harness",
+     "fcsr.movielens", "fcsr.serialize"],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)

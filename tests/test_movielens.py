@@ -34,7 +34,8 @@ MOVIES = [
 def test_parse_basic_row(tmp_path):
     ratings, movies = write_corpus(tmp_path, ["1,296,5.0,1147880044"], ['296,Pulp (1994),Drama'])
     corpus = parse_corpus(ratings, movies)
-    assert list(corpus.iter_rows()) == [(1, 296, 5.0, 1147880044)]
+    assert corpus.movie_ids.tolist() == [296]
+    assert corpus.ratings.tolist() == [5.0]
     assert corpus.skipped_rows == 0
 
 
@@ -61,12 +62,14 @@ def test_parse_missing_header_rejected(tmp_path):
 
 
 def test_parse_skips_and_counts_bad_rows(tmp_path):
-    rows = [f"1,1,4.0,{i}" for i in range(200)]
-    rows.append("2,1,not-a-number,5")  # one malformed row in 201 is under 1%
+    rows = [f"1,1,4.0,{i}" for i in range(400)]
+    rows.append("2,1,not-a-number,5")  # three malformed rows in 403 are under 1%
+    rows.append("x,1,4.0,5")  # the user id and timestamp are parsed, not kept
+    rows.append("2,1,4.0,later")
     ratings, movies = write_corpus(tmp_path, rows, MOVIES)
     corpus = parse_corpus(ratings, movies)
-    assert corpus.skipped_rows == 1
-    assert len(corpus) == 200
+    assert corpus.skipped_rows == 3
+    assert len(corpus) == 400
 
 
 def test_parse_aborts_above_one_percent_malformed(tmp_path):
