@@ -9,7 +9,6 @@ baselines (:mod:`fcsr.algorithms`), the Monte-Carlo harness
 
 from .algorithms import (
     ALGORITHM_IDS,
-    FcsrConfig,
     RunTrace,
     ScheduleSpec,
     apt_phase,
@@ -64,7 +63,6 @@ __all__ = [
     "CellResult",
     "Empirical",
     "ExponentPrediction",
-    "FcsrConfig",
     "Gaussian",
     "HardnessReport",
     "OracleResult",

@@ -26,6 +26,7 @@ parallel across trials as long as every trial gets its own RngStream.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -43,7 +44,6 @@ from .core import (
 
 __all__ = [
     "ScheduleSpec",
-    "FcsrConfig",
     "RunTrace",
     "build_schedule",
     "uniform_phase",
@@ -56,19 +56,6 @@ __all__ = [
     "run_algorithm",
     "ALGORITHM_IDS",
 ]
-
-ALGORITHM_IDS = ("fcsr", "us", "sr", "etc")
-# The keyword overrides of run_algorithm that each algorithm reads.
-ALGORITHM_PARAMS = {
-    "fcsr": ("feasibility_fraction", "apt_fraction", "threshold"),
-    "us": ("threshold",),
-    "sr": ("threshold",),
-    "etc": ("explore_fraction", "threshold"),
-}
-
-DEFAULT_FEASIBILITY_FRACTION = 0.2
-DEFAULT_APT_FRACTION = 0.3
-DEFAULT_EXPLORE_FRACTION = 0.5
 
 _CHUNK = 512  # single-pull buffer refill size
 _GALLOP = 32  # single pulls of a run before the rest of it goes in numpy blocks
@@ -88,6 +75,25 @@ def _exact(x: float | int | Fraction) -> Fraction:
 def _floor_mul(frac: Fraction, n: int) -> int:
     """floor(frac * n), exactly."""
     return frac.numerator * n // frac.denominator
+
+
+def _fraction(name: str, x: float | Fraction) -> Fraction:
+    """The exact value of the run parameter ``name``, which must lie in (0, 1)."""
+    if not 0 < x < 1:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
+    return _exact(x)
+
+
+def _threshold(instance: BanditInstance, budget: int, threshold: float | None) -> float:
+    """The threshold a run tests against: ``threshold``, or the instance's own
+    when it is None. Also rejects a negative budget, which no run can spend."""
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if threshold is None:
+        return instance.threshold
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -147,37 +153,6 @@ def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0
     )
     delta = tuple(cur - prev for cur, prev in zip(cumulative, (0,) + cumulative[:-1]))
     return ScheduleSpec(num_arms, budget, feasibility_fraction, float(nbar), cumulative, delta)
-
-
-@dataclass(frozen=True)
-class FcsrConfig:
-    """Hyperparameters for one FCSR run.
-
-    Args:
-        budget: total pull budget T.
-        feasibility_fraction: f in (0, 1); fT is split evenly into per-arm
-            feasibility budgets. Default 0.2.
-        apt_fraction: g in (0, 1); share of each round's per-arm budget sent
-            to the adaptive thresholding pass. Default 0.3.
-        threshold: feasibility threshold; None means use the instance's own.
-
-    A budget of at least K*M is recommended so every attribute can be
-    sampled at least once; smaller budgets are legal and simply force the
-    final decision from sparse statistics.
-    """
-
-    budget: int
-    feasibility_fraction: float = DEFAULT_FEASIBILITY_FRACTION
-    apt_fraction: float = DEFAULT_APT_FRACTION
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if not 0.0 < self.feasibility_fraction < 1.0:
-            raise ValueError("feasibility fraction must lie strictly inside (0, 1)")
-        if not 0.0 < self.apt_fraction < 1.0:
-            raise ValueError("apt fraction must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -605,28 +580,33 @@ def _successive_rejects(
 
 def run_fcsr(
     instance: BanditInstance,
-    config: FcsrConfig,
+    budget: int,
     rng: RngStream | np.random.Generator,
+    threshold: float | None = None,
+    feasibility_fraction: float = 0.2,
+    apt_fraction: float = 0.3,
 ) -> RunTrace:
     """Feasibility-constrained successive rejects.
 
-    K-1 rounds follow ``build_schedule(K, T, f)``. In round r every
-    surviving arm takes floor((1-g) delta_r) pulls plus its share of the
-    pool of recycled budget as a uniform pass, floor(g delta_r) adaptive
-    thresholding pulls, and a sample-until-feasible pass from its personal
-    feasibility budget floor(f T / K). The lowest-scoring arm is dropped
-    (lowest index on score ties) and its unspent feasibility budget joins
-    the pool. The survivor is returned if it looks feasible, else 0.
+    K-1 rounds follow ``build_schedule(K, T, f)``, with f the
+    ``feasibility_fraction`` and g the ``apt_fraction``, both in (0, 1). In
+    round r every surviving arm takes floor((1-g) delta_r) pulls plus its
+    share of the pool of recycled budget as a uniform pass, floor(g delta_r)
+    adaptive thresholding pulls, and a sample-until-feasible pass from its
+    personal feasibility budget floor(f T / K). The lowest-scoring arm is
+    dropped (lowest index on score ties) and its unspent feasibility budget
+    joins the pool. The survivor is returned if it looks feasible, else 0.
+    ``threshold`` None means the instance's own.
 
     A global guard truncates any phase that would push total pulls past the
-    budget, so ``pulls_total <= budget`` always holds.
+    budget, so ``pulls_total <= budget`` always holds. A budget below K*M
+    is legal and forces the decision from sparse statistics.
     """
-    if instance.num_arms < 2:
-        raise ValueError("fcsr needs at least 2 arms")
-    threshold = instance.threshold if config.threshold is None else config.threshold
+    tau = _threshold(instance, budget, threshold)
     return _successive_rejects(
-        instance, config.budget, rng, threshold,
-        _exact(config.feasibility_fraction), _exact(config.apt_fraction),
+        instance, budget, rng, tau,
+        _fraction("feasibility_fraction", feasibility_fraction),
+        _fraction("apt_fraction", apt_fraction),
     )
 
 
@@ -648,7 +628,7 @@ def run_uniform_baseline(
     Decides on the empirically feasible arm with the highest empirical arm
     mean (lowest index on ties), or 0 when no arm looks feasible.
     """
-    tau = instance.threshold if threshold is None else threshold
+    tau = _threshold(instance, budget, threshold)
     state = _RunState(instance, _as_generator(rng), budget)
     scored = _uniform_stage(state, range(instance.num_arms), budget, tau)
     return RunTrace(
@@ -673,9 +653,7 @@ def run_sr_baseline(
     returned only if empirically feasible. This is FCSR's loop with the
     adaptive thresholding and sample-until-feasible budgets at 0.
     """
-    if instance.num_arms < 2:
-        raise ValueError("successive rejects needs at least 2 arms")
-    tau = instance.threshold if threshold is None else threshold
+    tau = _threshold(instance, budget, threshold)
     trace = _successive_rejects(instance, budget, rng, tau, _ZERO, _ZERO)
     return replace(trace, pulls_by_phase={"uniform": trace.pulls_total})
 
@@ -685,7 +663,7 @@ def run_etc_baseline(
     budget: int,
     rng: RngStream | np.random.Generator,
     threshold: float | None = None,
-    explore_fraction: float = DEFAULT_EXPLORE_FRACTION,
+    explore_fraction: float = 0.5,
 ) -> RunTrace:
     """Two-stage explore-then-commit.
 
@@ -695,12 +673,11 @@ def run_etc_baseline(
     candidates' attributes. The highest-scoring candidate is returned if it
     looks feasible, else 0.
     """
-    if not 0.0 < explore_fraction < 1.0:
-        raise ValueError("explore fraction must lie strictly inside (0, 1)")
     k, m = instance.num_arms, instance.num_attributes
-    tau = instance.threshold if threshold is None else threshold
+    tau = _threshold(instance, budget, threshold)
+    explore = _fraction("explore_fraction", explore_fraction)
     state = _RunState(instance, _as_generator(rng), budget)
-    explore_total = _floor_mul(_exact(explore_fraction), budget)
+    explore_total = _floor_mul(explore, budget)
     stage1 = _uniform_stage(state, range(k), explore_total, tau)
     explore_used = state.used
     ranked = sorted(stage1, key=lambda pair: (-pair[1], pair[0]))
@@ -714,32 +691,45 @@ def run_etc_baseline(
     )
 
 
+_RUNS = {
+    "fcsr": run_fcsr,
+    "us": run_uniform_baseline,
+    "sr": run_sr_baseline,
+    "etc": run_etc_baseline,
+}
+ALGORITHM_IDS = tuple(_RUNS)
+# The keywords each algorithm reads: the parameters of its run after ``rng``.
+ALGORITHM_PARAMS = {
+    name: tuple(inspect.signature(run).parameters)[3:] for name, run in _RUNS.items()
+}
+
+
+def _check_params(name: str, params: dict[str, float | None]) -> None:
+    """Raise ValueError naming an unknown algorithm, or each key of ``params``
+    that the algorithm does not read."""
+    if name not in _RUNS:
+        raise ValueError(
+            f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
+        )
+    unread = [key for key in params if key not in ALGORITHM_PARAMS[name]]
+    if unread:
+        raise ValueError(
+            f"algorithm {name!r} does not read {unread}; it reads {list(ALGORITHM_PARAMS[name])}"
+        )
+
+
 def run_algorithm(
     name: str,
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    *,
-    feasibility_fraction: float = DEFAULT_FEASIBILITY_FRACTION,
-    apt_fraction: float = DEFAULT_APT_FRACTION,
-    explore_fraction: float = DEFAULT_EXPLORE_FRACTION,
-    threshold: float | None = None,
+    **params: float | None,
 ) -> RunTrace:
-    """Dispatch a run by stable algorithm identifier.
+    """Run algorithm ``name`` with the keywords ``params``.
 
     Identifiers: "fcsr", "us" (uniform), "sr" (successive rejects),
     "etc" (explore-then-commit); ``ALGORITHM_PARAMS`` lists the keywords
-    each one reads.
+    each one reads, and any other keyword is an error.
     """
-    if name == "fcsr":
-        config = FcsrConfig(budget, feasibility_fraction, apt_fraction, threshold)
-        return run_fcsr(instance, config, rng)
-    if name == "us":
-        return run_uniform_baseline(instance, budget, rng, threshold)
-    if name == "sr":
-        return run_sr_baseline(instance, budget, rng, threshold)
-    if name == "etc":
-        return run_etc_baseline(instance, budget, rng, threshold, explore_fraction)
-    raise ValueError(
-        f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
-    )
+    _check_params(name, params)
+    return _RUNS[name](instance, budget, rng, **params)

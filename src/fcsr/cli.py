@@ -19,13 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algorithms import (
-    DEFAULT_APT_FRACTION,
-    DEFAULT_EXPLORE_FRACTION,
-    DEFAULT_FEASIBILITY_FRACTION,
-    ALGORITHM_IDS,
-    run_algorithm,
-)
+from .algorithms import ALGORITHM_IDS, run_algorithm
 from .core import RngStream, oracle
 from .hardness import (
     compute_hardness,
@@ -56,6 +50,14 @@ from .serialize import (
 DEFAULT_SEED = 20250808
 
 _CLASS_NAMES = ("feasibility-class", "risky-class")
+# The flags of ``fcsr run`` that set a run keyword; unset unless given, so
+# that the run's own default applies.
+_RUN_FLAGS = (
+    ("--f", "feasibility_fraction", "feasibility budget fraction (fcsr)"),
+    ("--g", "apt_fraction", "adaptive thresholding fraction (fcsr)"),
+    ("--explore-fraction", "explore_fraction", "stage-one fraction (etc)"),
+    ("--tau", "threshold", "threshold override"),
+)
 
 
 def _log(message: str) -> None:
@@ -65,7 +67,7 @@ def _log(message: str) -> None:
 def _pick_seed(given: int | None) -> int:
     if given is not None:
         return given
-    _log(f"no --seed given; using recorded default {DEFAULT_SEED}")
+    _log(f"no seed given; using recorded default {DEFAULT_SEED}")
     return DEFAULT_SEED
 
 
@@ -135,16 +137,9 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     seed = _pick_seed(args.seed)
-    trace = run_algorithm(
-        args.algorithm,
-        instance,
-        args.budget,
-        RngStream(seed),
-        feasibility_fraction=args.f,
-        apt_fraction=args.g,
-        explore_fraction=args.explore_fraction,
-        threshold=args.tau,
-    )
+    # Only the flags given: one the algorithm does not read is an error.
+    params = {key: getattr(args, key) for _, key, _ in _RUN_FLAGS if key in args}
+    trace = run_algorithm(args.algorithm, instance, args.budget, RngStream(seed), **params)
     doc = trace_to_dict(trace)
     doc["algorithm"] = args.algorithm
     doc["budget"] = args.budget
@@ -168,10 +163,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{args.config}: a sweep config must be a JSON object")
-    seed = args.seed if args.seed is not None else doc.get("base_seed")
-    if seed is None:
-        _log(f"no seed in config and no --seed given; using recorded default {DEFAULT_SEED}")
-        seed = DEFAULT_SEED
+    seed = _pick_seed(args.seed if args.seed is not None else doc.get("base_seed"))
     config = load_sweep_config(doc, seed)
     _log(
         f"sweep: instance={config.instance_name} algorithms={list(config.algorithms)} "
@@ -267,13 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", choices=ALGORITHM_IDS, required=True)
     run.add_argument("--budget", type=int, required=True)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--f", type=float, default=DEFAULT_FEASIBILITY_FRACTION,
-                     help="feasibility budget fraction (fcsr)")
-    run.add_argument("--g", type=float, default=DEFAULT_APT_FRACTION,
-                     help="adaptive thresholding fraction (fcsr)")
-    run.add_argument("--explore-fraction", type=float, default=DEFAULT_EXPLORE_FRACTION,
-                     help="stage-one fraction (etc)")
-    run.add_argument("--tau", type=float, default=None, help="threshold override")
+    for flag, key, help_text in _RUN_FLAGS:
+        run.add_argument(flag, dest=key, type=float, default=argparse.SUPPRESS, help=help_text)
     run.add_argument("--pretty", action="store_true", help="human-readable output")
     run.set_defaults(handler=_cmd_run)
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algorithms import ALGORITHM_IDS, ALGORITHM_PARAMS, run_algorithm
+from .algorithms import _check_params, run_algorithm
 from .core import BanditInstance, Gaussian, RngStream, oracle
 
 if TYPE_CHECKING:
@@ -201,27 +201,16 @@ class SweepConfig:
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
-        unknown = [a for a in self.algorithms if a not in ALGORITHM_IDS]
-        if unknown:
-            raise ValueError(
-                f"unknown algorithm identifiers {unknown}; valid: {list(ALGORITHM_IDS)}"
-            )
+        for algorithm in self.algorithms:
+            _check_params(algorithm, {})
         if any(b < 0 for b in self.budgets) or not self.budgets:
             raise ValueError("budgets must be non-negative and non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        bad = [a for a in self.params if a not in ALGORITHM_IDS]
-        if bad:
-            raise ValueError(f"params given for unknown algorithms {bad}")
         for algorithm, overrides in self.params.items():
-            unread = [key for key in overrides if key not in ALGORITHM_PARAMS[algorithm]]
-            if unread:
-                raise ValueError(
-                    f"params for {algorithm!r} has keys it does not read: {unread}; "
-                    f"valid: {list(ALGORITHM_PARAMS[algorithm])}"
-                )
+            _check_params(algorithm, overrides)
 
 
 @dataclass(frozen=True)
@@ -262,12 +251,12 @@ class SweepResult:
     def accuracy(self, algorithm: str, budget: int) -> float:
         return self.cell(algorithm, budget).accuracy
 
-    def to_table(self, sep: str = ",") -> str:
-        """Delimiter-separated table, one row per cell."""
-        lines = [sep.join(_TABLE_COLUMNS)]
+    def to_table(self) -> str:
+        """Comma-separated table, one row per cell."""
+        lines = [",".join(_TABLE_COLUMNS)]
         for c in self.cells:
             lines.append(
-                sep.join(
+                ",".join(
                     [
                         c.algorithm,
                         str(c.budget),
@@ -398,24 +387,15 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                         executor = start_pool()
                         retried = "retried after a worker crash"
                         errors = _run_cell(*cell, executor, workers)
+                    notes = (note, retried)
                 except Exception as exc:  # recorded per-cell, not fatal
-                    cells.append(
-                        CellResult(
-                            algorithm=algorithm,
-                            budget=budget,
-                            trials=config.trials,
-                            error_count=-1,
-                            accuracy=math.nan,
-                            log_error=math.nan,
-                            delta_band=math.nan,
-                            bernoulli_ci=math.nan,
-                            wall_time=time.perf_counter() - start,
-                            note="; ".join(filter(None, (retried, f"failed: {exc}"))),
-                        )
-                    )
-                    continue
-                accuracy = 1.0 - errors / config.trials
-                delta, bernoulli = confidence_bands(accuracy, config.trials)
+                    errors, notes = -1, (retried, f"failed: {exc}")
+                if errors < 0:
+                    accuracy = log_err = delta = bernoulli = math.nan
+                else:
+                    accuracy = 1.0 - errors / config.trials
+                    log_err = log_error(accuracy)
+                    delta, bernoulli = confidence_bands(accuracy, config.trials)
                 cells.append(
                     CellResult(
                         algorithm=algorithm,
@@ -423,11 +403,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                         trials=config.trials,
                         error_count=errors,
                         accuracy=accuracy,
-                        log_error=log_error(accuracy),
+                        log_error=log_err,
                         delta_band=delta,
                         bernoulli_ci=bernoulli,
                         wall_time=time.perf_counter() - start,
-                        note="; ".join(filter(None, (note, retried))),
+                        note="; ".join(filter(None, notes)),
                     )
                 )
     finally:

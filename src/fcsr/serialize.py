@@ -232,12 +232,9 @@ def trace_to_dict(trace: RunTrace) -> dict[str, Any]:
     }
 
 
-def write_sweep_result(
-    result: SweepResult, table_path: str | Path, json_path: str | Path | None = None
-) -> None:
-    """Write the delimiter-separated table, and optionally the JSON document."""
+def write_sweep_result(result: SweepResult, table_path: str | Path, json_path: str | Path) -> None:
+    """Write the comma-separated table and the JSON document."""
     Path(table_path).write_text(result.to_table(), encoding="utf-8")
-    if json_path is not None:
-        Path(json_path).write_text(
-            json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+    Path(json_path).write_text(
+        json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+    )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fcsr.algorithms import (
-    FcsrConfig,
+    ALGORITHM_IDS,
     apt_phase,
     build_schedule,
     run_algorithm,
@@ -229,7 +229,7 @@ def test_suf_postcondition_randomized():
 
 def test_fcsr_separates_deterministic_arms():
     for seed in range(30):
-        trace = run_fcsr(SEPARATING, FcsrConfig(budget=100), RngStream(seed))
+        trace = run_fcsr(SEPARATING, 100, RngStream(seed))
         assert trace.decision == 1
         assert trace.elimination_order == (2,)
 
@@ -241,7 +241,7 @@ def test_fcsr_flags_infeasible_instances():
         [[0.25, 0.3], [0.2, 0.28], [0.1, 0.3]], tau=0.5, variance=0.3
     )
     zeros = sum(
-        run_fcsr(instance, FcsrConfig(budget=100_000), RngStream(5, t)).decision == 0
+        run_fcsr(instance, 100_000, RngStream(5, t)).decision == 0
         for t in range(60)
     )
     assert zeros >= 57  # >= 95%
@@ -249,7 +249,7 @@ def test_fcsr_flags_infeasible_instances():
 
 def test_fcsr_eliminates_all_but_one():
     instance = _instance(np.linspace(0.2, 0.8, 12).reshape(4, 3), tau=0.1)
-    trace = run_fcsr(instance, FcsrConfig(budget=5000), RngStream(11))
+    trace = run_fcsr(instance, 5000, RngStream(11))
     assert len(trace.elimination_order) == 3
     survivor = (set(range(1, 5)) - set(trace.elimination_order)).pop()
     assert trace.decision in (0, survivor)
@@ -258,9 +258,9 @@ def test_fcsr_eliminates_all_but_one():
 
 def test_fcsr_identical_seeds_identical_traces():
     instance = _instance([[0.6, 0.4], [0.55, 0.52], [0.3, 0.9]], tau=0.45)
-    a = run_fcsr(instance, FcsrConfig(budget=4000), RngStream(9, 3))
-    b = run_fcsr(instance, FcsrConfig(budget=4000), RngStream(9, 3))
-    c = run_fcsr(instance, FcsrConfig(budget=4000), RngStream(9, 4))
+    a = run_fcsr(instance, 4000, RngStream(9, 3))
+    b = run_fcsr(instance, 4000, RngStream(9, 3))
+    c = run_fcsr(instance, 4000, RngStream(9, 4))
     assert a == b
     assert a != c
 
@@ -276,13 +276,13 @@ def test_fcsr_with_threshold_below_support_never_uses_feasibility_pass():
         threshold=-0.5,
     )
     for seed in range(10):
-        trace = run_fcsr(instance, FcsrConfig(budget=3000), RngStream(seed))
+        trace = run_fcsr(instance, 3000, RngStream(seed))
         assert trace.pulls_by_phase["suf"] == 0
         assert trace.decision != 0
 
 
 def test_fcsr_budget_zero():
-    trace = run_fcsr(SEPARATING, FcsrConfig(budget=0), RngStream(0))
+    trace = run_fcsr(SEPARATING, 0, RngStream(0))
     assert trace.decision == 0
     assert trace.pulls_total == 0
 
@@ -290,16 +290,24 @@ def test_fcsr_budget_zero():
 def test_fcsr_requires_two_arms():
     single = BanditInstance(arms=((Bernoulli(0.9),),), threshold=0.5)
     with pytest.raises(ValueError):
-        run_fcsr(single, FcsrConfig(budget=100), RngStream(0))
+        run_fcsr(single, 100, RngStream(0))
 
 
 def test_fcsr_config_validation():
-    with pytest.raises(ValueError):
-        FcsrConfig(budget=100, feasibility_fraction=0.0)
-    with pytest.raises(ValueError):
-        FcsrConfig(budget=100, apt_fraction=1.0)
-    with pytest.raises(ValueError):
-        FcsrConfig(budget=-1)
+    with pytest.raises(ValueError, match="feasibility_fraction"):
+        run_fcsr(SEPARATING, 100, RngStream(0), feasibility_fraction=0.0)
+    with pytest.raises(ValueError, match="apt_fraction"):
+        run_fcsr(SEPARATING, 100, RngStream(0), apt_fraction=1.0)
+    with pytest.raises(ValueError, match="budget"):
+        run_fcsr(SEPARATING, -1, RngStream(0))
+
+
+@pytest.mark.parametrize("name", ALGORITHM_IDS)
+def test_every_algorithm_rejects_bad_threshold_and_budget(name):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        run_algorithm(name, SEPARATING, 100, RngStream(0), threshold=float("nan"))
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        run_algorithm(name, SEPARATING, -1, RngStream(0))
 
 
 def test_uniform_baseline_examples():
@@ -354,6 +362,9 @@ def test_run_algorithm_dispatch():
         assert trace.decision == 1
     with pytest.raises(ValueError):
         run_algorithm("nope", SEPARATING, 120, RngStream(4))
+    # A keyword the algorithm does not read is an error, not ignored.
+    with pytest.raises(ValueError, match="'us' does not read \\['feasibility_fraction'\\]"):
+        run_algorithm("us", SEPARATING, 120, RngStream(4), feasibility_fraction=5.0)
 
 
 def test_budget_compliance_randomized_small():

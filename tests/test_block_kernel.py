@@ -16,7 +16,6 @@ import fcsr.algorithms as algorithms
 from fcsr.algorithms import (
     _CHUNK,
     _GALLOP,
-    FcsrConfig,
     _on_row,
     _RunState,
     apt_phase,
@@ -119,10 +118,10 @@ def test_fcsr_runs_match_scalar_oracle(kind, monkeypatch, blocks):
         # The schedule's ceilings overshoot floor((1-f)T) by up to K-1, so at
         # small budgets the run-wide guard cuts the last passes short.
         for budget, g in ((km + 1, 0.3), (40 * km + 3, 0.6), (6000, 0.3), (6001, 0.8)):
-            config = FcsrConfig(budget, 0.2, g)
-            block, scalar = _both(
-                monkeypatch, lambda: run_fcsr(instance, config, np.random.default_rng([seed, budget]))
-            )
+            block, scalar = _both(monkeypatch, lambda: run_fcsr(
+                instance, budget, np.random.default_rng([seed, budget]),
+                feasibility_fraction=0.2, apt_fraction=g,
+            ))
             assert block == scalar, f"{kind} seed {seed} T={budget} g={g}"
             assert [[s.hex() for _, s in r] for r in block.per_round_scores] == [
                 [s.hex() for _, s in r] for r in scalar.per_round_scores

@@ -1,12 +1,13 @@
 """End-to-end command-line tests (direct main() invocation)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fcsr.cli import main
 from fcsr.core import oracle
-from fcsr.serialize import instance_to_dict, read_instance, write_instance
+from fcsr.serialize import instance_to_dict, load_sweep_config, read_instance, write_instance
 from fcsr.harness import build_synthetic
 
 
@@ -93,6 +94,24 @@ def test_run_rejects_non_finite_threshold(tmp_path, capsys):
     assert "NaN" in path.read_text()
     assert main(["run", str(path), "--algorithm", "fcsr", "--budget", "500", "--seed", "1"]) == 2
     assert "threshold must be finite" in capsys.readouterr().err
+    write_instance(build_synthetic("risky"), path)
+    assert main(["run", str(path), "--algorithm", "us", "--budget", "500", "--tau", "nan"]) == 2
+    assert "threshold must be finite" in capsys.readouterr().err
+
+
+def test_run_rejects_flags_and_budgets_the_algorithm_cannot_use(tmp_path, capsys):
+    path = tmp_path / "risky.json"
+    write_instance(build_synthetic("risky"), path)
+    run = ["run", str(path), "--seed", "1", "--algorithm"]
+    for argv, message in (
+        (["us", "--budget", "500", "--f", "0.3"], "'us' does not read ['feasibility_fraction']"),
+        (["sr", "--budget", "500", "--explore-fraction", "0.5"], "'sr' does not read ['explore_fraction']"),
+        (["etc", "--budget", "-5"], "budget must be non-negative, got -5"),
+        (["fcsr", "--budget", "500", "--g", "1.5"], "apt_fraction must lie strictly inside (0, 1)"),
+    ):
+        assert main(run + argv) == 2
+        assert message in capsys.readouterr().err
+    assert main(run + ["fcsr", "--budget", "500", "--f", "0.3", "--g", "0.3"]) == 0
 
 
 def test_run_names_arm_and_attribute_of_bad_distribution(tmp_path, capsys):
@@ -273,6 +292,15 @@ def test_ingest_portfolio_file(tmp_path):
 
 def test_missing_file_errors(tmp_path):
     assert main(["hardness", str(tmp_path / "nope.json")]) != 0
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+    ids=lambda path: path.name,
+)
+def test_shipped_configs_load(path):
+    config = load_sweep_config(json.loads(path.read_text()), 1)
+    assert config.algorithms and config.budgets
 
 
 def test_resolve_instance_forms(tmp_path):

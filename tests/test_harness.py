@@ -239,7 +239,7 @@ def test_sweep_records_cell_failures():
     config = SweepConfig(
         instance=single,
         algorithms=("sr", "us"),
-        budgets=(50,),
+        budgets=(0, 50),
         trials=3,
         base_seed=1,
         instance_name="single",
@@ -249,6 +249,13 @@ def test_sweep_records_cell_failures():
     assert sr_cell.note.startswith("failed:")
     assert math.isnan(sr_cell.accuracy)
     assert result.cell("us", 50).accuracy == 1.0
+    # A failed cell's note is the failure alone; a low budget is noted only
+    # on a cell that ran.
+    assert result.cell("sr", 0).note == "failed: the round schedule needs at least 2 arms"
+    assert result.cell("us", 0).note == "budget below one pull per attribute (1)"
+    # A non-finite threshold override fails every cell, naming the field.
+    config = replace(config, instance=SEPARATING, params={"sr": {"threshold": math.nan}})
+    assert run_sweep(config).cell("sr", 50).note == "failed: threshold must be finite, got nan"
 
 
 def test_cell_equality_ignores_wall_time():
