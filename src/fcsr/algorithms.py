@@ -19,7 +19,8 @@ schedule) are computed in exact rational arithmetic: float rounding of
 quantities like ``0.29 * 100`` would otherwise shift single pulls and break
 pinned schedule values.
 
-Each run is single-threaded over private state; runs are embarrassingly
+An FCSR run is single-threaded over private state, and a baseline runs a
+batch of trials side by side (:class:`_Batch`); runs are embarrassingly
 parallel across trials as long as every trial gets its own RngStream.
 """
 
@@ -28,7 +29,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,6 +42,7 @@ from .core import (
     StatsState,
     _as_generator,
     _gated_mean,
+    _gated_scores,
 )
 
 __all__ = [
@@ -59,8 +62,6 @@ __all__ = [
 
 _CHUNK = 512  # single-pull buffer refill size
 _GALLOP = 32  # single pulls of a run before the rest of it goes in numpy blocks
-_BATCH = 16  # fewest (arm, attribute) cells of a uniform pass drawn in one call
-_ZERO = Fraction(0)
 
 
 def _exact(x: float | int | Fraction) -> Fraction:
@@ -178,21 +179,12 @@ class _RunState:
     ``sums``, ``counts`` and ``mu`` hold one row of Python numbers per arm,
     zeros or a copy of ``stats``. Single pulls pop from a buffer per (arm,
     attribute) refilled in blocks of ``_CHUNK`` from the run's generator; an
-    arm's buffers are allocated when it first pulls singly, which the
-    baselines never do. A uniform pass draws the sum of n pulls of each
-    attribute in one shot with the exact law of that sum. Both depend only
-    on the generator and the pull history, so a run is reproducible from its
+    arm's buffers are allocated when it first pulls singly. A uniform pass
+    draws the sum of n pulls of each attribute in one shot with the exact
+    law of that sum, one ``draw_sum`` per attribute. Both depend only on the
+    generator and the pull history, so a run is reproducible from its
     (seed, stream) alone. ``used`` counts pulls, and no pass takes it past
     ``cap``.
-
-    A uniform pass over several arms draws all its block sums with one
-    generator call when every attribute is Gaussian or every one Bernoulli
-    (``BanditInstance._sum_law``), the pass has at least ``_BATCH`` cells and
-    the cap does not cut it short; the call yields the values of one call
-    per cell, in the same order. Below ``_BATCH`` cells, such as FCSR's
-    one-arm passes at M = 5, the array call's fixed cost exceeds the
-    per-cell calls it saves, so those stay one ``draw_sum`` per cell, as do
-    Empirical and mixed instances.
 
     The adaptive thresholding and sample-until-feasible passes pull one
     attribute for a run of steps at a time. The first ``_GALLOP`` pulls of a
@@ -203,14 +195,14 @@ class _RunState:
     block.
     """
 
-    __slots__ = ("arms", "law", "gen", "bufs", "chunks", "sums", "counts", "mu", "used", "cap")
+    __slots__ = ("arms", "gen", "bufs", "chunks", "sums", "counts", "mu", "used", "cap")
 
     def __init__(
         self, instance: BanditInstance, gen: np.random.Generator, cap: int,
         stats: StatsState | None = None,
     ) -> None:
         k, m = instance.num_arms, instance.num_attributes
-        self.arms, self.law, self.gen = instance.arms, instance._sum_law, gen
+        self.arms, self.gen = instance.arms, gen
         self.used, self.cap = 0, cap
         # bufs[i][j] holds the unread tail of chunks[i, j], the last block
         # drawn for (i, j), in reverse order so that a pull is a pop;
@@ -279,43 +271,27 @@ class _RunState:
             if ended or done == n:
                 return done, s, c, est
 
-    def uniform(self, arms: Sequence[int], budget: int) -> int:
-        """floor(budget / M) pulls of each attribute of each of ``arms``, arm
-        by arm in the order given and attributes in index order, until the
-        cap; the sum of each (arm, attribute) block is one draw."""
-        m = len(self.sums[0])
+    def uniform(self, i: int, budget: int) -> int:
+        """floor(budget / M) pulls of each attribute of arm ``i``, in index
+        order, until the cap; the sum of each attribute's block is one draw."""
+        sums, counts, mu, dists = self.sums[i], self.counts[i], self.mu[i], self.arms[i]
+        m = len(sums)
         limit = self.cap - self.used
         quota = budget // m
         if quota <= 0 or limit <= 0:
             return 0
-        cells = len(arms) * m
         gen = self.gen
-        if self.law is not None and cells >= _BATCH and quota * cells <= limit:
-            family, params = self.law
-            rows = family._draw_sums(quota, params.take(arms, 1), gen).tolist()
-            for i, row in zip(arms, rows):
-                sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
-                for j, x in enumerate(row):
-                    s = sums[j] + x
-                    c = counts[j] + quota
-                    sums[j] = s
-                    counts[j] = c
-                    mu[j] = s / c
-            used = quota * cells
-        else:  # one draw_sum per cell; the cap may cut the pass short
-            used = 0
-            for i in arms:
-                sums, counts, mu, dists = self.sums[i], self.counts[i], self.mu[i], self.arms[i]
-                for j in range(m):
-                    take = quota if quota <= limit - used else limit - used
-                    if take <= 0:
-                        break
-                    s = sums[j] + dists[j].draw_sum(take, gen)
-                    c = counts[j] + take
-                    sums[j] = s
-                    counts[j] = c
-                    mu[j] = s / c
-                    used += take
+        used = 0
+        for j in range(m):
+            take = quota if quota <= limit - used else limit - used
+            if take <= 0:
+                break
+            s = sums[j] + dists[j].draw_sum(take, gen)
+            c = counts[j] + take
+            sums[j] = s
+            counts[j] = c
+            mu[j] = s / c
+            used += take
         self.used += used
         return used
 
@@ -425,20 +401,6 @@ class _RunState:
         self.used += used
         return used
 
-    def scored(self, arms, threshold: float) -> list[tuple[int, float]]:
-        """(arm index, feasibility-gated score) for each of ``arms``."""
-        return [(i, _gated_mean(self.mu[i], threshold)) for i in arms]
-
-    def decide(self, scored: list[tuple[int, float]], threshold: float) -> int:
-        """The decision rule of every algorithm: the id of the highest score in
-        ``scored`` (lowest arm on ties) if all its empirical means exceed the
-        threshold, else 0."""
-        best = min(scored, key=lambda pair: (-pair[1], pair[0]))[0]
-        return best + 1 if min(self.mu[best]) > threshold else 0
-
-
-def _ids(scored: list[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
-    return tuple((i + 1, s) for i, s in scored)
 
 
 # --- Standalone phase operations over StatsState (the contract surface). ---
@@ -475,9 +437,7 @@ def uniform_phase(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _on_row(
-        instance, stats, arm, budget, rng, lambda state, i: state.uniform((i,), budget)
-    )
+    return _on_row(instance, stats, arm, budget, rng, _RunState.uniform, budget)
 
 
 def apt_phase(
@@ -526,58 +486,6 @@ def sample_until_feasible(
 # --- Full algorithm runs. ---
 
 
-def _successive_rejects(
-    instance: BanditInstance, budget: int, rng: RngStream | np.random.Generator,
-    threshold: float, f: Fraction, g: Fraction,
-) -> RunTrace:
-    """FCSR's elimination loop (see :func:`run_fcsr`); with f = g = 0 it is
-    plain successive rejects. A pass whose budget is 0 is skipped, since it
-    would make no pulls."""
-    k = instance.num_arms
-    schedule = build_schedule(k, budget, f)
-    state = _RunState(instance, _as_generator(rng), budget)
-    feas_budget = [_floor_mul(f / k, budget)] * k
-    keep = 1 - g
-    extra_pool = 0
-    active = list(range(k))
-    eliminated: list[int] = []
-    round_scores: list[tuple[tuple[int, float], ...]] = []
-    phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
-
-    for increment in schedule.delta:
-        share = extra_pool // len(active)
-        extra_pool -= share * len(active)
-        uniform_budget = _floor_mul(keep, increment) + share
-        apt_budget = _floor_mul(g, increment)
-        if apt_budget or any(feas_budget):
-            for i in active:
-                phase_pulls["uniform"] += state.uniform((i,), uniform_budget)
-                if apt_budget:
-                    phase_pulls["apt"] += state.apt(i, apt_budget, threshold)
-                if feas_budget[i]:
-                    pulls = state.suf(i, feas_budget[i], threshold)
-                    feas_budget[i] -= pulls
-                    phase_pulls["suf"] += pulls
-        else:  # nothing else draws this round: one uniform pass over every arm
-            phase_pulls["uniform"] += state.uniform(active, uniform_budget)
-        scored = state.scored(active, threshold)
-        round_scores.append(_ids(scored))
-        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
-        active.remove(loser)
-        eliminated.append(loser + 1)
-        extra_pool += feas_budget[loser]
-        feas_budget[loser] = 0
-
-    survivor = [pair for pair in scored if pair[0] != loser]
-    return RunTrace(
-        decision=state.decide(survivor, threshold),
-        pulls_total=state.used,
-        pulls_by_phase=phase_pulls,
-        elimination_order=tuple(eliminated),
-        per_round_scores=tuple(round_scores),
-    )
-
-
 def run_fcsr(
     instance: BanditInstance,
     budget: int,
@@ -600,21 +508,163 @@ def run_fcsr(
 
     A global guard truncates any phase that would push total pulls past the
     budget, so ``pulls_total <= budget`` always holds. A budget below K*M
-    is legal and forces the decision from sparse statistics.
+    is legal and forces the decision from sparse statistics. A pass whose
+    budget is 0 is skipped, since it would make no pulls.
     """
     tau = _threshold(instance, budget, threshold)
-    return _successive_rejects(
-        instance, budget, rng, tau,
-        _fraction("feasibility_fraction", feasibility_fraction),
-        _fraction("apt_fraction", apt_fraction),
+    f = _fraction("feasibility_fraction", feasibility_fraction)
+    g = _fraction("apt_fraction", apt_fraction)
+    k = instance.num_arms
+    schedule = build_schedule(k, budget, f)
+    state = _RunState(instance, _as_generator(rng), budget)
+    feas_budget = [_floor_mul(f / k, budget)] * k
+    keep = 1 - g
+    extra_pool = 0
+    active = list(range(k))
+    eliminated: list[int] = []
+    round_scores: list[tuple[tuple[int, float], ...]] = []
+    phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
+
+    for increment in schedule.delta:
+        share = extra_pool // len(active)
+        extra_pool -= share * len(active)
+        uniform_budget = _floor_mul(keep, increment) + share
+        apt_budget = _floor_mul(g, increment)
+        for i in active:
+            phase_pulls["uniform"] += state.uniform(i, uniform_budget)
+            if apt_budget:
+                phase_pulls["apt"] += state.apt(i, apt_budget, tau)
+            if feas_budget[i]:
+                pulls = state.suf(i, feas_budget[i], tau)
+                feas_budget[i] -= pulls
+                phase_pulls["suf"] += pulls
+        scored = [(i, _gated_mean(state.mu[i], tau)) for i in active]
+        round_scores.append(tuple((i + 1, s) for i, s in scored))
+        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
+        active.remove(loser)
+        eliminated.append(loser + 1)
+        extra_pool += feas_budget[loser]
+        feas_budget[loser] = 0
+
+    (best,) = active
+    return RunTrace(
+        decision=best + 1 if min(state.mu[best]) > tau else 0,
+        pulls_total=state.used,
+        pulls_by_phase=phase_pulls,
+        elimination_order=tuple(eliminated),
+        per_round_scores=tuple(round_scores),
     )
 
 
-def _uniform_stage(state: _RunState, arms, budget: int, tau: float) -> list[tuple[int, float]]:
-    """floor(budget / (|arms| M)) pulls of each attribute of ``arms``; returns their scores."""
-    m = len(state.sums[0])
-    state.uniform(arms, budget // (len(arms) * m) * m)
-    return state.scored(arms, tau)
+# --- The baselines, over a batch of trials. ---
+
+
+class _Batch:
+    """Statistics of N trials of one baseline, run side by side.
+
+    A baseline makes only uniform passes, whose pull counts do not depend on
+    the draws, so all trials pull the i-th arm of a pass alike and differ in
+    their draws and so in the arms they pass over. ``sums``, ``counts`` and
+    ``mu`` are (N, K, M); ``used``, each trial's pulls, never passes ``cap``.
+    Trial n draws only from ``gens[n]`` (:meth:`BanditInstance._draw_block_sums`),
+    so its result does not depend on the batch. ``log``, if a list, receives
+    (arms, scores, pulls so far) at each scoring point.
+    """
+
+    def __init__(self, instance: BanditInstance, gens: list, cap: int, log: list | None = None):
+        shape = (len(gens), instance.num_arms, instance.num_attributes)
+        self.instance, self.gens, self.used, self.cap, self.log = instance, gens, 0, cap, log
+        self.rows = np.arange(len(gens))[:, None]
+        self.sums, self.mu = np.zeros(shape), np.zeros(shape)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.all = np.broadcast_to(np.arange(shape[1]), shape[:2])
+
+    def uniform(self, arms: np.ndarray, quota: int) -> None:
+        """``quota`` pulls of each attribute of the arms ``arms[n]`` of each
+        trial n, arm by arm in the order given and attributes in index order,
+        until the cap; the sum of each (arm, attribute) block is one draw."""
+        cells = arms.shape[1] * self.mu.shape[2]
+        limit = self.cap - self.used
+        if quota <= 0 or limit <= 0:
+            return
+        takes = np.full(cells, quota)
+        whole = limit // quota
+        if whole < cells:  # the cap ends the pass inside cell ``whole``
+            takes[whole:] = 0
+            takes[whole] = limit - whole * quota
+            cells = whole + 1 if takes[whole] else whole
+        at = (self.rows, arms)
+        sums = self.sums[at]
+        draws = self.instance._draw_block_sums(arms, takes[:cells], self.gens)
+        sums.reshape(len(sums), -1)[:, :cells] += draws
+        counts = self.counts[at] + takes.reshape(arms.shape[1], -1)
+        self.sums[at], self.counts[at] = sums, counts
+        self.mu[at] = sums / np.maximum(counts, 1)
+        self.used += int(takes.sum())
+
+    def scores(self, arms: np.ndarray, threshold: float) -> np.ndarray:
+        """(N, A) feasibility-gated scores of the arms ``arms[n]`` of each trial n."""
+        scores = _gated_scores(self.mu[self.rows, arms], threshold)
+        if self.log is not None:
+            self.log.append((arms, scores, self.used))
+        return scores
+
+    def decide(self, arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
+        """Each trial's decision over its ``arms``, in index order: the id of
+        the first highest score if it exceeds the threshold, else 0 (a gated
+        score does so exactly when every empirical mean of its arm does)."""
+        best = scores.argmax(axis=1)
+        trials = self.rows[:, 0]
+        return np.where(scores[trials, best] > threshold, arms[trials, best] + 1, 0)
+
+
+def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
+    """The decision of each trial of :func:`run_uniform_baseline`, one per generator."""
+    tau = _threshold(instance, budget, threshold)
+    batch = _Batch(instance, gens, budget, log)
+    batch.uniform(batch.all, budget // batch.mu[0].size)
+    return batch.decide(batch.all, batch.scores(batch.all, tau), tau)
+
+
+def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
+    """The decision of each trial of :func:`run_sr_baseline`. A row of ``live``
+    is in index order, so its first lowest score is the lowest arm on ties."""
+    tau = _threshold(instance, budget, threshold)
+    rounds = build_schedule(instance.num_arms, budget).delta
+    batch = _Batch(instance, gens, budget, log)
+    live = batch.all
+    for increment in rounds:
+        batch.uniform(live, increment // instance.num_attributes)
+        scores = batch.scores(live, tau)
+        keep = np.ones(live.shape, dtype=bool)
+        keep[batch.rows[:, 0], scores.argmin(axis=1)] = False
+        live = live[keep].reshape(len(gens), -1)
+    return batch.decide(live, scores[keep].reshape(len(gens), -1), tau)
+
+
+def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None) -> np.ndarray:
+    """The decision of each trial of :func:`run_etc_baseline`. A stable sort on
+    the negated stage-one score ranks the candidates, lower arm first on ties."""
+    tau = _threshold(instance, budget, threshold)
+    explore = _fraction("explore_fraction", explore_fraction)
+    k, m = instance.num_arms, instance.num_attributes
+    batch = _Batch(instance, gens, budget, log)
+    batch.uniform(batch.all, _floor_mul(explore, budget) // (k * m))
+    candidates = np.argsort(-batch.scores(batch.all, tau), axis=1, kind="stable")[:, : min(m, k)]
+    batch.uniform(candidates, (budget - batch.used) // (candidates.shape[1] * m))
+    scores = batch.scores(candidates, tau)
+    order = np.argsort(candidates, axis=1)
+    return batch.decide(
+        np.take_along_axis(candidates, order, 1), np.take_along_axis(scores, order, 1), tau
+    )
+
+
+def _one_trial(run: Callable, instance, budget, rng, *params) -> tuple[int, list]:
+    """The decision of one trial of the batched ``run``, and its scoring
+    points as (arm ids, scores, pulls so far)."""
+    log: list = []
+    decision = run(instance, budget, [_as_generator(rng)], *params, log=log)
+    return int(decision[0]), [((a[0] + 1).tolist(), s[0].tolist(), used) for a, s, used in log]
 
 
 def run_uniform_baseline(
@@ -628,14 +678,12 @@ def run_uniform_baseline(
     Decides on the empirically feasible arm with the highest empirical arm
     mean (lowest index on ties), or 0 when no arm looks feasible.
     """
-    tau = _threshold(instance, budget, threshold)
-    state = _RunState(instance, _as_generator(rng), budget)
-    scored = _uniform_stage(state, range(instance.num_arms), budget, tau)
+    decision, [(ids, scores, used)] = _one_trial(_us, instance, budget, rng, threshold)
     return RunTrace(
-        decision=state.decide(scored, tau),
-        pulls_total=state.used,
-        pulls_by_phase={"uniform": state.used},
-        per_round_scores=(_ids(scored),),
+        decision=decision,
+        pulls_total=used,
+        pulls_by_phase={"uniform": used},
+        per_round_scores=(tuple(zip(ids, scores)),),
     )
 
 
@@ -649,13 +697,20 @@ def run_sr_baseline(
 
     The full budget goes through the round schedule (no feasibility
     reserve); each round every surviving arm takes its increment as a
-    uniform pass, then the lowest-scoring arm is dropped. The survivor is
-    returned only if empirically feasible. This is FCSR's loop with the
-    adaptive thresholding and sample-until-feasible budgets at 0.
+    uniform pass, then the lowest-scoring arm is dropped (lowest index on
+    score ties). The survivor is returned only if empirically feasible.
+    This is FCSR's loop with the adaptive thresholding and
+    sample-until-feasible budgets at 0.
     """
-    tau = _threshold(instance, budget, threshold)
-    trace = _successive_rejects(instance, budget, rng, tau, _ZERO, _ZERO)
-    return replace(trace, pulls_by_phase={"uniform": trace.pulls_total})
+    decision, rounds = _one_trial(_sr, instance, budget, rng, threshold)
+    used = rounds[-1][2]
+    return RunTrace(
+        decision=decision,
+        pulls_total=used,
+        pulls_by_phase={"uniform": used},
+        elimination_order=tuple(ids[scores.index(min(scores))] for ids, scores, _ in rounds),
+        per_round_scores=tuple(tuple(zip(ids, scores)) for ids, scores, _ in rounds),
+    )
 
 
 def run_etc_baseline(
@@ -673,21 +728,13 @@ def run_etc_baseline(
     candidates' attributes. The highest-scoring candidate is returned if it
     looks feasible, else 0.
     """
-    k, m = instance.num_arms, instance.num_attributes
-    tau = _threshold(instance, budget, threshold)
-    explore = _fraction("explore_fraction", explore_fraction)
-    state = _RunState(instance, _as_generator(rng), budget)
-    explore_total = _floor_mul(explore, budget)
-    stage1 = _uniform_stage(state, range(k), explore_total, tau)
-    explore_used = state.used
-    ranked = sorted(stage1, key=lambda pair: (-pair[1], pair[0]))
-    candidates = [i for i, _ in ranked[: min(m, k)]]
-    final = _uniform_stage(state, candidates, budget - state.used, tau)
+    decision, stages = _one_trial(_etc, instance, budget, rng, threshold, explore_fraction)
+    (ids, stage1, explored), (candidates, final, used) = stages
     return RunTrace(
-        decision=state.decide(final, tau),
-        pulls_total=state.used,
-        pulls_by_phase={"explore": explore_used, "commit": state.used - explore_used},
-        per_round_scores=(_ids(stage1), _ids(final)),
+        decision=decision,
+        pulls_total=used,
+        pulls_by_phase={"explore": explored, "commit": used - explored},
+        per_round_scores=(tuple(zip(ids, stage1)), tuple(zip(candidates, final))),
     )
 
 
@@ -704,9 +751,13 @@ ALGORITHM_PARAMS = {
 }
 
 
+_BATCHES = {"us": _us, "sr": _sr, "etc": _etc}
+
+
 def _check_params(name: str, params: dict[str, float | None]) -> None:
-    """Raise ValueError naming an unknown algorithm, or each key of ``params``
-    that the algorithm does not read."""
+    """Raise ValueError naming an unknown algorithm, each key of ``params``
+    that the algorithm does not read, or a key whose value is not a real
+    number (a bool is not one; ``threshold`` may also be None)."""
     if name not in _RUNS:
         raise ValueError(
             f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
@@ -716,6 +767,19 @@ def _check_params(name: str, params: dict[str, float | None]) -> None:
         raise ValueError(
             f"algorithm {name!r} does not read {unread}; it reads {list(ALGORITHM_PARAMS[name])}"
         )
+    for key, value in params.items():
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (number or key == "threshold" and value is None):
+            raise ValueError(f"algorithm {name!r}: {key} must be a real number, got {value!r}")
+
+
+def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence, **params):
+    """The decision of :func:`run_algorithm` from each of ``rngs``: a baseline
+    runs them as one batch, FCSR one at a time (its pulls differ per trial)."""
+    _check_params(name, params)
+    if name == "fcsr":
+        return np.array([run_fcsr(instance, budget, rng, **params).decision for rng in rngs])
+    return _BATCHES[name](instance, budget, [_as_generator(rng) for rng in rngs], **params)
 
 
 def run_algorithm(

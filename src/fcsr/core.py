@@ -70,15 +70,18 @@ class Gaussian:
         return float(gen.normal(n * self.mean, math.sqrt(n * self.variance)))
 
     @staticmethod
-    def _draw_sums(n: int, params: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """:meth:`draw_sum` of ``n`` pulls for each attribute whose mean and
-        variance are the entries of ``params[0]`` and ``params[1]``, in one
-        generator call. numpy draws an array of normals one entry at a time,
-        from the loc and scale that ``draw_sum`` computes with the same
-        float operations, so the values, and the generator state after them,
-        equal one ``draw_sum`` per entry in C order."""
-        q = n * params
-        return gen.normal(q[0], np.sqrt(q[1]))
+    def _draw_sums(takes: np.ndarray, params: np.ndarray, gens: list) -> np.ndarray:
+        """Row n: :meth:`draw_sum` of ``takes[c]`` pulls of each attribute c of
+        mean and variance ``params[:, n, c]``, from one ``standard_normal``
+        call on ``gens[n]``. ``normal(loc, scale)`` is ``loc + scale * z``, so
+        with loc and scale computed as ``draw_sum`` does, the values and the
+        generator state equal one ``draw_sum`` per entry in order."""
+        loc = takes * params[0]
+        scale = np.sqrt(takes * params[1])
+        z = np.empty(loc.shape)
+        for gen, row in zip(gens, z):
+            gen.standard_normal(out=row)
+        return loc + scale * z
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,11 @@ class Bernoulli:
         return float(gen.binomial(n, self.p))
 
     @staticmethod
-    def _draw_sums(n: int, params: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """:meth:`draw_sum` of ``n`` pulls for each attribute whose ``p`` is an
-        entry of ``params[0]``, in one generator call; the same values as one
-        ``draw_sum`` per entry in C order (see :meth:`Gaussian._draw_sums`)."""
-        return gen.binomial(n, params[0])
+    def _draw_sums(takes: np.ndarray, params: np.ndarray, gens: list) -> np.ndarray:
+        """Row n: :meth:`draw_sum` of ``takes[c]`` pulls of each attribute c
+        of ``p = params[0, n, c]``, from one ``binomial`` call on ``gens[n]``,
+        with the values of one ``draw_sum`` per entry in order."""
+        return np.array([gen.binomial(takes, p) for gen, p in zip(gens, params[0])], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -231,11 +234,10 @@ class BanditInstance:
     @cached_property
     def _sum_law(self) -> tuple[type, np.ndarray] | None:
         """(family, parameters) when every attribute is Gaussian or every one
-        is Bernoulli, so that ``family._draw_sums`` can draw the block sums of
-        many attributes in one call; else None. ``parameters[f, i, j]`` is
-        field f (mean and variance, or p) of attribute (i, j). Each Empirical
-        attribute has its own support, so its sums stay one ``multinomial``
-        call each, and so do those of a mixed instance."""
+        is Bernoulli, so that ``family._draw_sums`` can draw a trial's block
+        sums in one call; else None. ``parameters[f, i, j]`` is field f (mean
+        and variance, or p) of attribute (i, j). Empirical attributes each
+        have their own support, so theirs stay one ``multinomial`` call each."""
         families = {type(d) for row in self.arms for d in row}
         if families == {Gaussian}:
             fields = ("mean", "variance")
@@ -245,6 +247,25 @@ class BanditInstance:
             return None
         params = [[[getattr(d, f) for d in row] for row in self.arms] for f in fields]
         return families.pop(), np.array(params, dtype=np.float64)
+
+    def _draw_block_sums(self, arms: np.ndarray, takes: np.ndarray, gens: list) -> np.ndarray:
+        """(N, C) block sums of a batch of N trials, C = ``len(takes)``: cell c
+        of trial n is the sum of ``takes[c]`` pulls of attribute c % M of arm
+        ``arms[n, c // M]``, drawn from ``gens[n]`` with the values, and the
+        generator state after them, of one ``draw_sum`` per cell in order. A
+        Gaussian or Bernoulli instance makes one call per trial (:attr:`_sum_law`)."""
+        n, cells = len(gens), len(takes)
+        if self._sum_law is not None:
+            family, params = self._sum_law
+            per_trial = params[:, arms].reshape(len(params), n, -1)[:, :, :cells]
+            return family._draw_sums(takes, per_trial, gens)
+        m = self.num_attributes
+        sums = np.empty((n, cells))
+        takes = takes.tolist()
+        for row, gen, ids in zip(sums, gens, arms.tolist()):
+            for c, take in enumerate(takes):
+                row[c] = self.arms[ids[c // m]][c % m].draw_sum(take, gen)
+        return sums
 
     @cached_property
     def arm_means(self) -> np.ndarray:
@@ -359,6 +380,18 @@ def _gated_mean(row: list[float], threshold: float) -> float:
         mean = sum(row) / len(row)
         return mean if mean > lowest else lowest
     return lowest
+
+
+def _gated_scores(mu: np.ndarray, threshold: float) -> np.ndarray:
+    """:func:`_gated_mean` of each row along the last axis of ``mu``, bit for
+    bit: the columns are added one by one from the left, as ``sum`` adds a
+    row, where ``np.sum`` would add them pairwise."""
+    lowest = mu.min(axis=-1)
+    total = np.zeros(lowest.shape)
+    for j in range(mu.shape[-1]):
+        total += mu[..., j]
+    mean = total / mu.shape[-1]
+    return np.where(lowest > threshold, np.where(mean > lowest, mean, lowest), lowest)
 
 
 def score(stats: StatsState, arm: int, threshold: float) -> float:

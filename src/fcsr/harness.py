@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algorithms import _check_params, run_algorithm
+from .algorithms import _check_params, _decisions
 from .core import BanditInstance, Gaussian, RngStream, oracle
 
 if TYPE_CHECKING:
@@ -50,6 +50,7 @@ _TABLE_COLUMNS = (
     "delta_band",
     "bernoulli_ci",
 )
+_MAX_BATCH = 256  # most trials run as one batch; a baseline's batch holds about 5 KB a trial
 
 
 def build_synthetic(
@@ -182,7 +183,8 @@ class SweepConfig:
         trials: Monte-Carlo trials per cell (N).
         base_seed: root seed; trial t of cell (alg, T) uses stream
             (base_seed, hash(alg, T, t)).
-        params: optional per-algorithm keyword overrides, e.g.
+        params: optional per-algorithm keyword overrides, each a real
+            number, for algorithms the sweep runs, e.g.
             {"fcsr": {"feasibility_fraction": 0.2, "apt_fraction": 0.3},
              "etc": {"explore_fraction": 0.5}}.
         instance_name: label carried into reports.
@@ -211,6 +213,11 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         for algorithm, overrides in self.params.items():
             _check_params(algorithm, overrides)
+        idle = [algorithm for algorithm in self.params if algorithm not in self.algorithms]
+        if idle:
+            raise ValueError(
+                f"params for {idle}, which the sweep does not run; it runs {list(self.algorithms)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -308,21 +315,17 @@ def _json_safe(x: float) -> float | str:
 
 
 def _count_errors(
-    instance: BanditInstance,
-    best_arm: int,
-    algorithm: str,
-    budget: int,
-    params: dict[str, float],
-    base_seed: int,
-    lo: int,
-    hi: int,
+    instance: BanditInstance, best_arm: int, algorithm: str, budget: int,
+    params: dict[str, float], base_seed: int, lo: int, hi: int,
 ) -> int:
+    """Wrong decisions among trials ``lo..hi`` of one cell, run in batches of
+    at most ``_MAX_BATCH`` trials."""
     errors = 0
-    for t in range(lo, hi):
-        rng = RngStream(base_seed, trial_stream_id(algorithm, budget, t))
-        trace = run_algorithm(algorithm, instance, budget, rng, **params)
-        if trace.decision != best_arm:
-            errors += 1
+    for start in range(lo, hi, _MAX_BATCH):
+        trials = range(start, min(start + _MAX_BATCH, hi))
+        rngs = [RngStream(base_seed, trial_stream_id(algorithm, budget, t)) for t in trials]
+        decisions = _decisions(algorithm, instance, budget, rngs, **params)
+        errors += int(np.count_nonzero(decisions != best_arm))
     return errors
 
 

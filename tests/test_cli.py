@@ -206,6 +206,20 @@ def test_sweep_rejects_keys_it_does_not_read(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_sweep_config_rejects_bad_params(tmp_path):
+    """A param that is not a number, or one for an algorithm the sweep does
+    not run, is rejected when the config is loaded, naming the field."""
+    doc = json.loads(_sweep_config(tmp_path, algorithms=["us"]).read_text())
+    for params, message in (
+        ({"us": {"threshold": "0.3"}}, "algorithm 'us': threshold must be a real number, got '0.3'"),
+        ({"us": {"threshold": True}}, "algorithm 'us': threshold must be a real number, got True"),
+        ({"etc": {"explore_fraction": 0.5}}, "params for ['etc'], which the sweep does not run"),
+    ):
+        with pytest.raises(ValueError) as err:
+            load_sweep_config(dict(doc, params=params), 1)
+        assert message in str(err.value)
+
+
 def test_sweep_instance_from_file(tmp_path):
     inst_path = tmp_path / "inst.json"
     write_instance(build_synthetic("mean"), inst_path)

@@ -114,6 +114,29 @@ def test_draw_sum_degenerate_cases():
     assert Gaussian(0.7, 0.3).draw_sum(0, gen) == 0.0
 
 
+def test_normal_is_loc_plus_scale_times_standard_normal():
+    """``Gaussian._draw_sums`` draws a trial's block sums as ``loc + scale *
+    standard_normal(cells)`` where ``draw_sum`` calls ``normal(loc, scale)``
+    once per cell. That holds only while numpy computes ``normal`` as
+    ``loc + scale * z`` for the next standard normal z; a numpy that stops
+    doing so fails here, bit for bit and generator state included, for
+    scalar and array calls and for variance 0."""
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 1])
+        takes = rng.integers(1, 5000, size=7)
+        means = rng.uniform(-1.0, 2.0, size=7)
+        variances = rng.uniform(0.0, 0.5, size=7)
+        variances[seed % 7] = 0.0
+        loc = takes * means
+        scale = np.sqrt(takes * variances)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert a.normal(loc, scale).tobytes() == (loc + scale * b.standard_normal(7)).tobytes()
+        for n, mu, var in zip(takes.tolist(), means.tolist(), variances.tolist()):
+            scalar = Gaussian(mu, var).draw_sum(n, a)
+            assert scalar.hex() == float(n * mu + math.sqrt(n * var) * b.standard_normal()).hex()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Random streams
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import math
 import os
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fcsr.harness as harness
 from fcsr.algorithms import ALGORITHM_PARAMS
 from fcsr.core import BanditInstance, Bernoulli, oracle
 from fcsr.harness import (
@@ -135,11 +137,11 @@ def test_sweep_deterministic_instance_is_exact():
         assert cell.log_error == -math.inf
 
 
-def test_sweep_repeatable_and_worker_invariant():
+def test_sweep_repeatable_and_worker_invariant(monkeypatch):
     instance = build_synthetic("risky", num_arms=4, num_attributes=2)
     config = SweepConfig(
         instance=instance,
-        algorithms=("fcsr", "us"),
+        algorithms=("fcsr", "us", "sr", "etc"),
         budgets=(400,),
         trials=40,
         base_seed=5,
@@ -150,6 +152,10 @@ def test_sweep_repeatable_and_worker_invariant():
     parallel = run_sweep(config, workers=2)
     assert serial_a == serial_b
     assert serial_a == parallel  # wall_time excluded from equality
+    # A chunk of trials runs as batches of at most _MAX_BATCH trials.
+    monkeypatch.setattr(harness, "_MAX_BATCH", 3)
+    assert run_sweep(config, workers=1) == serial_a
+    assert run_sweep(config, workers=2) == serial_a
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,26 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="'sr'.*explore_fraction"):
         _tiny_config(params={"sr": {"explore_fraction": 0.9}})
     for algorithm, keys in ALGORITHM_PARAMS.items():
-        _tiny_config(params={algorithm: {key: 0.4 for key in keys}})
+        _tiny_config(algorithms=(algorithm,), params={algorithm: {key: 0.4 for key in keys}})
+
+
+def test_sweep_config_rejects_params_that_are_not_numbers():
+    # A string failed every cell with a TypeError that named no field, and
+    # True ran silently as threshold 1.0.
+    for value in ("0.3", True, [0.3]):
+        with pytest.raises(ValueError, match=r"'us': threshold must be a real number"):
+            _tiny_config(algorithms=("us",), params={"us": {"threshold": value}})
+    with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number, got None"):
+        _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": None}})
+    _tiny_config(algorithms=("us",), params={"us": {"threshold": None}})
+    _tiny_config(algorithms=("etc",), params={"etc": {"threshold": 1, "explore_fraction": Fraction(1, 3)}})
+
+
+def test_sweep_config_rejects_params_for_an_algorithm_it_does_not_run():
+    with pytest.raises(ValueError, match=r"params for \['etc'\], which the sweep does not run"):
+        _tiny_config(algorithms=("us",), params={"etc": {"explore_fraction": 0.5}})
+    with pytest.raises(ValueError, match=r"params for \['etc'\]"):
+        _tiny_config(algorithms=("us",), params={"etc": {}})
 
 
 def test_sweep_records_cell_failures():

@@ -1,39 +1,53 @@
-"""The one-call uniform pass against the one-call-per-cell oracle.
+"""The batched baselines against the one-trial-at-a-time oracle.
 
-``scalar_kernel.ScalarRunState.uniform`` makes one ``draw_sum`` call per
-(arm, attribute) cell, as the run engine did before a uniform pass over many
-cells drew all its block sums with one generator call. Every case here runs
-once on the engine and once on the oracle, from the same generator state,
-and compares pulls, statistics (as ``float.hex`` or as bytes) and the
-generator state after. The ``batched`` fixture counts the one-call draws,
-so each case also checks that it took the path it is meant to.
+``scalar_kernel`` holds the baselines ``us``, ``sr`` and ``etc`` as they ran
+one trial at a time, over ``ScalarRunState``, whose uniform pass makes one
+``draw_sum`` call per (arm, attribute) cell. Every case here runs a batch of
+trials on the engine and each trial on the oracle, from the same generator
+state, and compares pulls, statistics or scores (as ``float.hex``), and the
+generator state after. The generators count the calls made on them, so each
+case also checks that a Gaussian or Bernoulli trial makes one generator call
+per uniform stage.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import fcsr.algorithms as algorithms
-from fcsr.algorithms import _BATCH, _RunState, run_algorithm, uniform_phase
-from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, StatsState
-from fcsr.harness import build_synthetic
-from scalar_kernel import ScalarRunState
+from fcsr.algorithms import (
+    _BATCHES,
+    _Batch,
+    _decisions,
+    build_schedule,
+    run_algorithm,
+    uniform_phase,
+)
+from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, RngStream, StatsState
+from fcsr.harness import build_synthetic, trial_stream_id
+from scalar_kernel import REFERENCE_RUNS, ScalarRunState
 
 FAMILIES = ("gaussian", "bernoulli", "mixed", "empirical")
+# The one call a trial of each family makes per uniform stage.
+ONE_CALL = {"gaussian": "standard_normal", "bernoulli": "binomial"}
 
 
-@pytest.fixture
-def batched(monkeypatch):
-    """Calls of each family's one-call draw, ``Gaussian._draw_sums`` and
-    ``Bernoulli._draw_sums``."""
-    calls = {Gaussian: 0, Bernoulli: 0}
-    for family in calls:
+class Counted:
+    """A generator that counts the calls made on it, by method name."""
 
-        def counted(n, params, gen, family=family, draw=family._draw_sums):
-            calls[family] += 1
-            return draw(n, params, gen)
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen = gen
+        self.calls: Counter = Counter()
 
-        monkeypatch.setattr(family, "_draw_sums", staticmethod(counted))
-    return calls
+    def __getattr__(self, name):
+        method = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def _instance(family: str, k: int, m: int, seed: int) -> BanditInstance:
@@ -56,69 +70,102 @@ def _instance(family: str, k: int, m: int, seed: int) -> BanditInstance:
     return BanditInstance(arms, 0.5)
 
 
-def _stage(state_class, instance, arms, budget: int, cap: int, seed: int):
-    """One uniform pass over ``arms`` on a fresh run state; its pulls,
-    statistics as hex and the generator state after it."""
+def _hexed(table) -> list:
+    return [[x.hex() for x in row] for row in table]
+
+
+def _batch_stage(instance, orders, quota: int, cap: int, seeds):
+    """One uniform pass over the arms ``orders[n]`` of each trial n of a batch;
+    per trial its pulls, statistics as hex, the generator state after it and
+    the calls made on its generator."""
+    gens = [Counted(np.random.default_rng(seed)) for seed in seeds]
+    batch = _Batch(instance, gens, cap)
+    batch.uniform(np.array(orders), quota)
+    return [
+        (batch.used, _hexed(batch.sums[n].tolist()), batch.counts[n].tolist(),
+         _hexed(batch.mu[n].tolist()), gen.gen.bit_generator.state)
+        for n, gen in enumerate(gens)
+    ], [gen.calls for gen in gens]
+
+
+def _scalar_stage(instance, arms, quota: int, cap: int, seed: int):
     gen = np.random.default_rng(seed)
-    state = state_class(instance, gen, cap)
-    used = state.uniform(arms, budget)
-    hexed = [[[x.hex() for x in row] for row in table] for table in (state.sums, state.mu)]
-    return used, hexed, state.counts, state.used, gen.bit_generator.state
+    state = ScalarRunState(instance, gen, cap)
+    state.uniform_arms(arms, quota * instance.num_attributes)
+    return (state.used, _hexed(state.sums), state.counts, _hexed(state.mu), gen.bit_generator.state)
+
+
+def _expected_calls(family: str, calls: Counter, cells: int) -> bool:
+    """One call per trial on Gaussian and Bernoulli; one ``draw_sum`` per
+    cell on the others."""
+    if family in ONE_CALL:
+        return calls == Counter({ONE_CALL[family]: 1})
+    return sum(calls.values()) == cells
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_uniform_stage_matches_scalar_oracle(family, batched):
+def test_uniform_stage_matches_scalar_oracle(family):
     k, m = 5, 4
-    orders = (range(k), [3, 0, 4, 1, 2], [4, 1, 2, 0], [2, 0])
+    # Each trial of a batch passes over its own arms, in its own order.
+    batches = (
+        [range(k)] * 3,
+        [[3, 0, 4, 1, 2], [0, 1, 2, 3, 4], [4, 1, 2, 0, 3]],
+        [[4, 1, 2, 0], [0, 1, 2, 3]],
+        [[2, 0]],
+    )
     for seed in range(10):
         instance = _instance(family, k, m, seed)
-        for arms in orders:
-            for budget in (m, 37 * m + 3, 2000):
-                before = sum(batched.values())
-                block = _stage(_RunState, instance, arms, budget, 10**9, seed)
-                scalar = _stage(ScalarRunState, instance, arms, budget, 10**9, seed)
-                assert block == scalar, f"{family} seed {seed} arms {list(arms)} budget {budget}"
-                one_call = family in ("gaussian", "bernoulli") and len(arms) * m >= _BATCH
-                assert sum(batched.values()) - before == one_call
+        for orders in batches:
+            seeds = [seed * 10 + n for n in range(len(orders))]
+            for quota in (1, 37, 500):
+                batch, calls = _batch_stage(instance, orders, quota, 10**9, seeds)
+                scalar = [_scalar_stage(instance, arms, quota, 10**9, s) for arms, s in zip(orders, seeds)]
+                assert batch == scalar, f"{family} seed {seed} arms {orders} quota {quota}"
+                cells = len(orders[0]) * m
+                assert all(_expected_calls(family, c, cells) for c in calls)
 
 
 @pytest.mark.parametrize("family", ("gaussian", "bernoulli"))
-def test_stage_cut_by_the_cap_mid_arm_matches_scalar_oracle(family, batched):
+def test_stage_cut_by_the_cap_mid_arm_matches_scalar_oracle(family):
     """A cap of 137 on a pass of 10 pulls per cell over 5 x 4 cells ends it
-    after 13 whole cells and 7 pulls of the 14th, in the fourth arm of the
-    order given. Such a pass draws one ``draw_sum`` per cell."""
+    after 13 whole cells and 7 pulls of the 14th, in the fourth arm of each
+    trial's order; each trial still draws its 14 block sums in one call."""
     instance = _instance(family, 5, 4, 3)
-    for arms in (range(5), [4, 2, 0, 3, 1]):
-        block = _stage(_RunState, instance, arms, 40, 137, 11)
-        scalar = _stage(ScalarRunState, instance, arms, 40, 137, 11)
-        assert block == scalar
-        assert block[0] == block[3] == 137
-        counts = block[2]
+    orders = [list(range(5)), [4, 2, 0, 3, 1], [1, 3, 4, 0, 2]]
+    batch, calls = _batch_stage(instance, orders, 10, 137, [11, 12, 13])
+    scalar = [_scalar_stage(instance, arms, 10, 137, s) for arms, s in zip(orders, [11, 12, 13])]
+    assert batch == scalar
+    for (used, _, counts, _, _), arms in zip(batch, orders):
+        assert used == 137
         assert [counts[i] for i in arms] == [[10] * 4, [10] * 4, [10] * 4, [10, 7, 0, 0], [0] * 4]
-    assert sum(batched.values()) == 0
+    assert all(c == Counter({ONE_CALL[family]: 1}) for c in calls)
 
 
 @pytest.mark.parametrize("family", ("gaussian", "bernoulli"))
-def test_uniform_phase_on_a_wide_arm_matches_scalar_oracle(family, monkeypatch, batched):
-    """One arm of 20 attributes is past ``_BATCH`` cells on its own."""
+def test_uniform_phase_on_a_wide_arm_matches_scalar_oracle(family, monkeypatch):
+    """FCSR's one-arm pass makes one ``draw_sum`` per attribute, even on an
+    arm of 20 attributes; a batch makes one call per trial over the same arm."""
     instance = _instance(family, 2, 20, 5)
 
     def run():
-        gen = np.random.default_rng(8)
+        gen = Counted(np.random.default_rng(8))
         stats = StatsState.for_instance(instance)
         pulls = [uniform_phase(instance, stats, arm, 20 * b + 3, gen) for arm, b in ((2, 7), (1, 40), (2, 1))]
-        return pulls, stats.reward_sums.tobytes(), stats.pull_counts.tobytes(), stats.empirical_means.tobytes()
+        out = stats.reward_sums.tobytes(), stats.pull_counts.tobytes(), stats.empirical_means.tobytes()
+        return pulls, out, gen.gen.bit_generator.state, gen.calls
 
     block = run()
-    assert sum(batched.values()) == 3
+    assert block[3] == Counter({"normal" if family == "gaussian" else "binomial": 60})
     with monkeypatch.context() as patch:
         patch.setattr(algorithms, "_RunState", ScalarRunState)
         assert run() == block
-    assert sum(batched.values()) == 3
+    batch, calls = _batch_stage(instance, [[1], [0]], 7, 10**9, [8, 9])
+    assert batch == [_scalar_stage(instance, [i], 7, 10**9, s) for i, s in ((1, 8), (0, 9))]
+    assert all(c == Counter({ONE_CALL[family]: 1}) for c in calls)
 
 
-def _run_hex(name: str, instance: BanditInstance, budget: int, seed: int):
-    trace = run_algorithm(name, instance, budget, np.random.default_rng([seed, budget]))
+def _run_hex(run, instance: BanditInstance, budget: int, seed: int):
+    trace = run(instance, budget, np.random.default_rng([seed, budget]))
     scores = [[(i, s.hex()) for i, s in r] for r in trace.per_round_scores]
     return trace.decision, trace.pulls_total, trace.pulls_by_phase, trace.elimination_order, scores
 
@@ -134,30 +181,114 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,instance", CASES, ids=[c[0] for c in CASES])
-def test_runs_match_scalar_oracle(name, instance, monkeypatch, batched):
+def test_runs_match_scalar_oracle(name, instance, monkeypatch):
+    """The one-trial runs: each baseline, a batch of one, against its
+    reference loop, and FCSR against the one-pull-per-step run state. A
+    baseline makes one generator call per uniform stage, except on the mixed
+    instance, which makes one per cell."""
     km = instance.num_arms * instance.num_attributes
+    stages = {"us": 1, "etc": 2, "sr": instance.num_arms - 1}
     for algorithm in ("us", "sr", "etc", "fcsr"):
+        run = algorithms._RUNS[algorithm]
         for budget in (km - 1, km + 3, 10 * km + 7, 10000):
             for seed in range(3):
-                block = _run_hex(algorithm, instance, budget, seed)
-                with monkeypatch.context() as patch:
-                    patch.setattr(algorithms, "_RunState", ScalarRunState)
-                    scalar = _run_hex(algorithm, instance, budget, seed)
+                block = _run_hex(run, instance, budget, seed)
+                if algorithm == "fcsr":
+                    with monkeypatch.context() as patch:
+                        patch.setattr(algorithms, "_RunState", ScalarRunState)
+                        scalar = _run_hex(run, instance, budget, seed)
+                else:
+                    scalar = _run_hex(REFERENCE_RUNS[algorithm], instance, budget, seed)
                 assert block == scalar, f"{name} {algorithm} T={budget} seed {seed}"
-    assert (sum(batched.values()) > 0) == (name != "mixed")
+        if algorithm in stages:
+            gen = Counted(np.random.default_rng(0))
+            run(instance, 10000, gen)
+            assert (sum(gen.calls.values()) == stages[algorithm]) == (name != "mixed"), algorithm
 
 
-def test_baselines_reach_the_one_call_path_and_fcsr_one_arm_passes_do_not(batched):
-    """On combined (K=10, M=5): ``us`` draws its one pass in one call,
-    ``etc`` its two stages (50 and 25 cells), ``sr`` each round with at least
-    ``_BATCH`` cells, and FCSR, whose arms hold feasibility budgets, none."""
+def test_baselines_reach_the_one_call_path_and_fcsr_one_arm_passes_do_not():
+    """On combined (K=10, M=5) at T=10000, each trial of a batch makes one
+    ``standard_normal`` call per uniform stage and no other call: one for
+    ``us``, two for ``etc`` and one per round for ``sr``. FCSR's one-arm
+    passes make none."""
     instance = build_synthetic("combined")
-    m = instance.num_attributes
-    sr_rounds = sum(1 for alive in range(10, 1, -1) if alive * m >= _BATCH)
-    expected = {"us": 1, "etc": 2, "sr": sr_rounds, "fcsr": 0}
+    expected = {"us": 1, "etc": 2, "sr": 9}
     for algorithm, calls in expected.items():
-        for t in range(3):
-            batched[Gaussian] = 0
-            run_algorithm(algorithm, instance, 10000, np.random.default_rng(t))
-            assert batched[Gaussian] == calls, algorithm
-    assert batched[Bernoulli] == 0
+        gens = [Counted(np.random.default_rng(t)) for t in range(3)]
+        _decisions(algorithm, instance, 10000, gens)
+        assert [g.calls for g in gens] == [Counter({"standard_normal": calls})] * 3, algorithm
+    gen = Counted(np.random.default_rng(0))
+    run_algorithm("fcsr", instance, 10000, gen)
+    assert gen.calls["standard_normal"] == 0 and gen.calls["normal"] > 0
+
+
+def _batch_traces(algorithm, instance, budget, seeds, **params):
+    """Each trial's decision, pulls, scores as hex, elimination order and
+    generator state after one batch over generators seeded ``[seed, budget]``."""
+    log: list = []
+    gens = [np.random.default_rng([seed, budget]) for seed in seeds]
+    decisions = _BATCHES[algorithm](instance, budget, gens, log=log, **params)
+    traces = []
+    for n, decision in enumerate(decisions.tolist()):
+        scores = [[(int(a) + 1, s.hex()) for a, s in zip(arms[n], sc[n].tolist())] for arms, sc, _ in log]
+        order = tuple(int(arms[n, sc[n].argmin()]) + 1 for arms, sc, _ in log) if algorithm == "sr" else ()
+        traces.append((decision, log[-1][2], scores, order, gens[n].bit_generator.state))
+    return traces
+
+
+def _reference_traces(algorithm, instance, budget, seeds, **params):
+    traces = []
+    for seed in seeds:
+        gen = np.random.default_rng([seed, budget])
+        trace = REFERENCE_RUNS[algorithm](instance, budget, gen, **params)
+        scores = [[(i, s.hex()) for i, s in r] for r in trace.per_round_scores]
+        traces.append((trace.decision, trace.pulls_total, scores, trace.elimination_order,
+                       gen.bit_generator.state))
+    return traces
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("size", (1, 2, 7, 50))
+def test_batches_match_per_trial_reference(family, size):
+    """Every trial of a batch of ``size`` equals its one-trial reference run,
+    at budgets below and above K*M and at a budget where the cap cuts sr's
+    last round inside an arm."""
+    k, m = 5, 4
+    instance = _instance(family, k, m, 40 + size)
+    cut = next(t for t in range(100, 400) if _cut_mid_arm(k, m, t))
+    seeds = range(size)
+    for budget in (0, k * m - 1, 3 * k * m + 7, cut, 2001):
+        for algorithm, params in (("us", {}), ("sr", {}), ("etc", {}), ("etc", {"explore_fraction": 0.9})):
+            got = _batch_traces(algorithm, instance, budget, seeds, **params)
+            assert got == _reference_traces(algorithm, instance, budget, seeds, **params), (
+                f"{family} N={size} {algorithm} T={budget} {params}"
+            )
+
+
+def _cut_mid_arm(k: int, m: int, budget: int) -> bool:
+    """Whether the cap ends one of sr's passes inside an arm at ``budget``:
+    some pass cannot finish, and what is left of the budget when it starts
+    is not a whole number of arms."""
+    used = 0
+    for r, delta in enumerate(build_schedule(k, budget).delta, start=1):
+        quota = delta // m
+        need = (k + 1 - r) * m * quota
+        if used + need > budget:
+            return (budget - used) % (m * quota) != 0
+        used += need
+    return False
+
+
+def test_batch_results_do_not_depend_on_the_chunking():
+    """The decisions of 50 sweep trials are the same as one batch, as
+    batches of 1, 7 and 42, in two halves, and one trial at a time."""
+    instance = build_synthetic("combined", num_arms=6, num_attributes=4)
+    for algorithm in ("us", "sr", "etc"):
+        rngs = [RngStream(3, trial_stream_id(algorithm, 900, t)) for t in range(50)]
+        whole = _decisions(algorithm, instance, 900, rngs)
+        for splits in ((1, 8), (25,)):
+            parts = [_decisions(algorithm, instance, 900, rngs[lo:hi])
+                     for lo, hi in zip((0,) + splits, splits + (50,))]
+            assert np.array_equal(np.concatenate(parts), whole), (algorithm, splits)
+        singles = [run_algorithm(algorithm, instance, 900, rng).decision for rng in rngs]
+        assert whole.tolist() == singles
