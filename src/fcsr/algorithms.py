@@ -41,7 +41,6 @@ from .core import (
     RngStream,
     StatsState,
     _as_generator,
-    _gated_mean,
     _gated_scores,
 )
 
@@ -486,6 +485,28 @@ def sample_until_feasible(
 # --- Full algorithm runs. ---
 
 
+def _drop_lowest(arms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elimination rule of FCSR and ``sr``: each trial's arms ``arms[n]``
+    and their ``scores[n]`` without its first lowest-scoring arm, and that
+    arm. A row of ``arms`` is in index order, so ties drop the lowest arm."""
+    trials = np.arange(len(arms))
+    lost = scores.argmin(axis=1)
+    keep = np.ones(arms.shape, dtype=bool)
+    keep[trials, lost] = False
+    shape = (len(arms), -1)
+    return arms[keep].reshape(shape), scores[keep].reshape(shape), arms[trials, lost]
+
+
+def _decide(arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """The decision rule of every algorithm: each trial's decision over its
+    arms ``arms[n]``, in index order, is the id of the first highest score if
+    it exceeds the threshold, else 0. A gated score does so exactly when
+    every empirical mean of its arm does."""
+    trials = np.arange(len(arms))
+    best = scores.argmax(axis=1)
+    return np.where(scores[trials, best] > threshold, arms[trials, best] + 1, 0)
+
+
 def run_fcsr(
     instance: BanditInstance,
     budget: int,
@@ -520,12 +541,13 @@ def run_fcsr(
     feas_budget = [_floor_mul(f / k, budget)] * k
     keep = 1 - g
     extra_pool = 0
-    active = list(range(k))
+    live = np.arange(k)[None, :]
     eliminated: list[int] = []
     round_scores: list[tuple[tuple[int, float], ...]] = []
     phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
 
     for increment in schedule.delta:
+        active = live[0].tolist()
         share = extra_pool // len(active)
         extra_pool -= share * len(active)
         uniform_budget = _floor_mul(keep, increment) + share
@@ -538,17 +560,16 @@ def run_fcsr(
                 pulls = state.suf(i, feas_budget[i], tau)
                 feas_budget[i] -= pulls
                 phase_pulls["suf"] += pulls
-        scored = [(i, _gated_mean(state.mu[i], tau)) for i in active]
-        round_scores.append(tuple((i + 1, s) for i, s in scored))
-        loser = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
-        active.remove(loser)
+        scores = _gated_scores(np.array(state.mu)[live], tau)
+        round_scores.append(tuple(zip([i + 1 for i in active], scores[0].tolist())))
+        live, scores, lost = _drop_lowest(live, scores)
+        loser = int(lost[0])
         eliminated.append(loser + 1)
         extra_pool += feas_budget[loser]
         feas_budget[loser] = 0
 
-    (best,) = active
     return RunTrace(
-        decision=best + 1 if min(state.mu[best]) > tau else 0,
+        decision=int(_decide(live, scores, tau)[0]),
         pulls_total=state.used,
         pulls_by_phase=phase_pulls,
         elimination_order=tuple(eliminated),
@@ -568,7 +589,8 @@ class _Batch:
     ``mu`` are (N, K, M); ``used``, each trial's pulls, never passes ``cap``.
     Trial n draws only from ``gens[n]`` (:meth:`BanditInstance._draw_block_sums`),
     so its result does not depend on the batch. ``log``, if a list, receives
-    (arms, scores, pulls so far) at each scoring point.
+    (arms, scores, pulls so far) at each scoring point, to which ``sr`` adds
+    the arms it drops there.
     """
 
     def __init__(self, instance: BanditInstance, gens: list, cap: int, log: list | None = None):
@@ -609,37 +631,27 @@ class _Batch:
             self.log.append((arms, scores, self.used))
         return scores
 
-    def decide(self, arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
-        """Each trial's decision over its ``arms``, in index order: the id of
-        the first highest score if it exceeds the threshold, else 0 (a gated
-        score does so exactly when every empirical mean of its arm does)."""
-        best = scores.argmax(axis=1)
-        trials = self.rows[:, 0]
-        return np.where(scores[trials, best] > threshold, arms[trials, best] + 1, 0)
-
 
 def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_uniform_baseline`, one per generator."""
     tau = _threshold(instance, budget, threshold)
     batch = _Batch(instance, gens, budget, log)
     batch.uniform(batch.all, budget // batch.mu[0].size)
-    return batch.decide(batch.all, batch.scores(batch.all, tau), tau)
+    return _decide(batch.all, batch.scores(batch.all, tau), tau)
 
 
 def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_sr_baseline`. A row of ``live``
-    is in index order, so its first lowest score is the lowest arm on ties."""
+    """The decision of each trial of :func:`run_sr_baseline`."""
     tau = _threshold(instance, budget, threshold)
     rounds = build_schedule(instance.num_arms, budget).delta
     batch = _Batch(instance, gens, budget, log)
     live = batch.all
     for increment in rounds:
         batch.uniform(live, increment // instance.num_attributes)
-        scores = batch.scores(live, tau)
-        keep = np.ones(live.shape, dtype=bool)
-        keep[batch.rows[:, 0], scores.argmin(axis=1)] = False
-        live = live[keep].reshape(len(gens), -1)
-    return batch.decide(live, scores[keep].reshape(len(gens), -1), tau)
+        live, scores, lost = _drop_lowest(live, batch.scores(live, tau))
+        if log is not None:
+            log[-1] += (lost,)
+    return _decide(live, scores, tau)
 
 
 def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None) -> np.ndarray:
@@ -654,17 +666,21 @@ def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None)
     batch.uniform(candidates, (budget - batch.used) // (candidates.shape[1] * m))
     scores = batch.scores(candidates, tau)
     order = np.argsort(candidates, axis=1)
-    return batch.decide(
+    return _decide(
         np.take_along_axis(candidates, order, 1), np.take_along_axis(scores, order, 1), tau
     )
 
 
 def _one_trial(run: Callable, instance, budget, rng, *params) -> tuple[int, list]:
     """The decision of one trial of the batched ``run``, and its scoring
-    points as (arm ids, scores, pulls so far)."""
+    points as (arm ids, scores, pulls so far), with the id of the arm dropped
+    there, if one was."""
     log: list = []
     decision = run(instance, budget, [_as_generator(rng)], *params, log=log)
-    return int(decision[0]), [((a[0] + 1).tolist(), s[0].tolist(), used) for a, s, used in log]
+    return int(decision[0]), [
+        ((a[0] + 1).tolist(), s[0].tolist(), used, *(int(x[0]) + 1 for x in lost))
+        for a, s, used, *lost in log
+    ]
 
 
 def run_uniform_baseline(
@@ -708,8 +724,8 @@ def run_sr_baseline(
         decision=decision,
         pulls_total=used,
         pulls_by_phase={"uniform": used},
-        elimination_order=tuple(ids[scores.index(min(scores))] for ids, scores, _ in rounds),
-        per_round_scores=tuple(tuple(zip(ids, scores)) for ids, scores, _ in rounds),
+        elimination_order=tuple(lost for *_, lost in rounds),
+        per_round_scores=tuple(tuple(zip(ids, scores)) for ids, scores, *_ in rounds),
     )
 
 
@@ -738,20 +754,25 @@ def run_etc_baseline(
     )
 
 
+def _fcsr(instance, budget, gens, **params) -> np.ndarray:
+    """The decision of each trial of :func:`run_fcsr`, one trial at a time,
+    since the pulls of its adaptive passes depend on its draws."""
+    return np.array([run_fcsr(instance, budget, gen, **params).decision for gen in gens])
+
+
+# Each algorithm's one-trial run, which returns its RunTrace, and its batched
+# run, which returns the decision of each trial of a batch.
 _RUNS = {
-    "fcsr": run_fcsr,
-    "us": run_uniform_baseline,
-    "sr": run_sr_baseline,
-    "etc": run_etc_baseline,
+    "fcsr": (run_fcsr, _fcsr),
+    "us": (run_uniform_baseline, _us),
+    "sr": (run_sr_baseline, _sr),
+    "etc": (run_etc_baseline, _etc),
 }
 ALGORITHM_IDS = tuple(_RUNS)
 # The keywords each algorithm reads: the parameters of its run after ``rng``.
 ALGORITHM_PARAMS = {
-    name: tuple(inspect.signature(run).parameters)[3:] for name, run in _RUNS.items()
+    name: tuple(inspect.signature(run).parameters)[3:] for name, (run, _) in _RUNS.items()
 }
-
-
-_BATCHES = {"us": _us, "sr": _sr, "etc": _etc}
 
 
 def _check_params(name: str, params: dict[str, float | None]) -> None:
@@ -774,12 +795,10 @@ def _check_params(name: str, params: dict[str, float | None]) -> None:
 
 
 def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence, **params):
-    """The decision of :func:`run_algorithm` from each of ``rngs``: a baseline
-    runs them as one batch, FCSR one at a time (its pulls differ per trial)."""
+    """The decision of :func:`run_algorithm` from each of ``rngs``, run as
+    one batch."""
     _check_params(name, params)
-    if name == "fcsr":
-        return np.array([run_fcsr(instance, budget, rng, **params).decision for rng in rngs])
-    return _BATCHES[name](instance, budget, [_as_generator(rng) for rng in rngs], **params)
+    return _RUNS[name][1](instance, budget, [_as_generator(rng) for rng in rngs], **params)
 
 
 def run_algorithm(
@@ -796,4 +815,4 @@ def run_algorithm(
     each one reads, and any other keyword is an error.
     """
     _check_params(name, params)
-    return _RUNS[name](instance, budget, rng, **params)
+    return _RUNS[name][0](instance, budget, rng, **params)

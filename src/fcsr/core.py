@@ -366,26 +366,17 @@ class StatsState:
         )
 
 
-def _gated_mean(row: list[float], threshold: float) -> float:
-    """Feasibility-gated score of one row of empirical means.
-
-    ``sum(row) / len(row)`` over Python floats when every entry strictly
-    exceeds the threshold; otherwise the smallest entry. The rounded mean
-    of entries within a few ulps of each other can fall below the smallest
-    of them, and so to the threshold; it is raised to the smallest entry,
-    so that a row that passes the gate always scores above the threshold.
-    """
-    lowest = min(row)
-    if lowest > threshold:
-        mean = sum(row) / len(row)
-        return mean if mean > lowest else lowest
-    return lowest
-
-
 def _gated_scores(mu: np.ndarray, threshold: float) -> np.ndarray:
-    """:func:`_gated_mean` of each row along the last axis of ``mu``, bit for
-    bit: the columns are added one by one from the left, as ``sum`` adds a
-    row, where ``np.sum`` would add them pairwise."""
+    """Feasibility-gated score of each row along the last axis of ``mu``.
+
+    The mean of the row when every entry strictly exceeds the threshold;
+    otherwise the smallest entry. The columns are added one by one from
+    the left, as Python's ``sum`` adds a row, where ``np.sum`` would add
+    them pairwise. The rounded mean of entries within a few ulps of each
+    other can fall below the smallest of them, and so to the threshold; it
+    is raised to the smallest entry, so that a row that passes the gate
+    always scores above the threshold.
+    """
     lowest = mu.min(axis=-1)
     total = np.zeros(lowest.shape)
     for j in range(mu.shape[-1]):
@@ -402,4 +393,4 @@ def score(stats: StatsState, arm: int, threshold: float) -> float:
     otherwise the minimum attribute empirical mean. A minimum exactly equal
     to the threshold counts as infeasible.
     """
-    return _gated_mean(stats.empirical_means[arm - 1].tolist(), threshold)
+    return float(_gated_scores(stats.empirical_means[arm - 1], threshold))

@@ -315,8 +315,14 @@ def _json_safe(x: float) -> float | str:
 
 
 def _count_errors(
-    instance: BanditInstance, best_arm: int, algorithm: str, budget: int,
-    params: dict[str, float], base_seed: int, lo: int, hi: int,
+    instance: BanditInstance,
+    best_arm: int,
+    algorithm: str,
+    budget: int,
+    params: dict[str, float],
+    base_seed: int,
+    lo: int,
+    hi: int,
 ) -> int:
     """Wrong decisions among trials ``lo..hi`` of one cell, run in batches of
     at most ``_MAX_BATCH`` trials."""

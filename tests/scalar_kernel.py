@@ -31,7 +31,17 @@ from fcsr.algorithms import (
     _threshold,
     build_schedule,
 )
-from fcsr.core import _as_generator, _gated_mean
+from fcsr.core import _as_generator
+
+
+def _gated_mean(row: list[float], threshold: float) -> float:
+    """The feasibility-gated score of one row of empirical means, over Python
+    floats, as one-trial runs scored before ``fcsr.core._gated_scores``."""
+    lowest = min(row)
+    if lowest > threshold:
+        mean = sum(row) / len(row)
+        return mean if mean > lowest else lowest
+    return lowest
 
 
 class ScalarRunState(_RunState):

@@ -17,7 +17,6 @@ import pytest
 
 import fcsr.algorithms as algorithms
 from fcsr.algorithms import (
-    _BATCHES,
     _Batch,
     _decisions,
     build_schedule,
@@ -189,7 +188,7 @@ def test_runs_match_scalar_oracle(name, instance, monkeypatch):
     km = instance.num_arms * instance.num_attributes
     stages = {"us": 1, "etc": 2, "sr": instance.num_arms - 1}
     for algorithm in ("us", "sr", "etc", "fcsr"):
-        run = algorithms._RUNS[algorithm]
+        run, _ = algorithms._RUNS[algorithm]
         for budget in (km - 1, km + 3, 10 * km + 7, 10000):
             for seed in range(3):
                 block = _run_hex(run, instance, budget, seed)
@@ -227,11 +226,12 @@ def _batch_traces(algorithm, instance, budget, seeds, **params):
     generator state after one batch over generators seeded ``[seed, budget]``."""
     log: list = []
     gens = [np.random.default_rng([seed, budget]) for seed in seeds]
-    decisions = _BATCHES[algorithm](instance, budget, gens, log=log, **params)
+    _, batched = algorithms._RUNS[algorithm]
+    decisions = batched(instance, budget, gens, log=log, **params)
     traces = []
     for n, decision in enumerate(decisions.tolist()):
-        scores = [[(int(a) + 1, s.hex()) for a, s in zip(arms[n], sc[n].tolist())] for arms, sc, _ in log]
-        order = tuple(int(arms[n, sc[n].argmin()]) + 1 for arms, sc, _ in log) if algorithm == "sr" else ()
+        scores = [[(int(a) + 1, s.hex()) for a, s in zip(arms[n], sc[n].tolist())] for arms, sc, *_ in log]
+        order = tuple(int(entry[3][n]) + 1 for entry in log if len(entry) == 4)
         traces.append((decision, log[-1][2], scores, order, gens[n].bit_generator.state))
     return traces
 

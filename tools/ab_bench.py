@@ -26,17 +26,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"401-410" or "1,5,9"."""
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    """The seeds lo..hi of "lo-hi"."""
+    lo, hi = (int(x) for x in text.split("-"))
+    return list(range(lo, hi + 1))
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; its last stdout line, parsed."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def bench(checkout: Path, workload: str, seed: int) -> dict:
+    """One ``bench/run.py`` run in ``checkout``, of the benchmark's own length;
+    its last stdout line, parsed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
@@ -53,8 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare against, e.g. HEAD~1")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help='"401-410" or "1,5,9"; one pair per seed')
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seeds", required=True, help='"lo-hi", e.g. "401-410"; one pair per seed')
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
@@ -67,14 +64,14 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                result = bench(sides[side], args.workload, seed, args.seconds)
+                result = bench(sides[side], args.workload, seed)
                 runs[side].append({"seed": seed, **result})
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
 
     print(f"{args.workload}: {args.ref} against the working tree, {len(seeds)} pairs, "
-          f"seeds {args.seeds}, {args.seconds} s runs")
+          f"seeds {args.seeds}")
     print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins")
     for metric in declared:
         name = metric["name"]
