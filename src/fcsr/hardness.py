@@ -13,7 +13,7 @@ convention: 1..K with 0 as the "no feasible arm" flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ def _inv_sq(gap: float) -> float:
 
 @dataclass(frozen=True)
 class HardnessReport:
-    """All gap quantities and difficulty indices for one instance.
+    """All gaps and difficulty indices of one instance, in its document's key order.
 
     ``threshold_gaps`` and ``suboptimality_gaps`` are reported in the
     instance's own arm order; the descending-mean re-indexing used to
@@ -54,30 +54,23 @@ class HardnessReport:
     four indices invariant to arm permutations of the input.
     """
 
+    num_arms: int
+    num_attributes: int
+    best_arm: int  # 0 when the feasible set is empty
+    tied_best: tuple[int, ...]
+    risky_set: tuple[int, ...]  # infeasible arms with mean >= the best arm's
     threshold_gaps: np.ndarray  # (K, M): |attribute mean - threshold|
     suboptimality_gaps: np.ndarray  # (K,): |best arm mean - arm mean|, inf if no best
-    risky_set: tuple[int, ...]  # infeasible arms with mean >= the best arm's
     mean_hardness: float  # H over descending positions |risky|+2 .. K
     feasibility_hardness: float
     risky_hardness: float
     overall_hardness: float  # max of the three
-    best_arm: int  # 0 when the feasible set is empty
-    tied_best: tuple[int, ...]
-    num_arms: int
-    num_attributes: int
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # the gaps are ndarrays
         if not isinstance(other, HardnessReport):
             return NotImplemented
-        return (
-            np.array_equal(self.threshold_gaps, other.threshold_gaps)
-            and np.array_equal(self.suboptimality_gaps, other.suboptimality_gaps)
-            and self.risky_set == other.risky_set
-            and self.mean_hardness == other.mean_hardness
-            and self.feasibility_hardness == other.feasibility_hardness
-            and self.risky_hardness == other.risky_hardness
-            and self.overall_hardness == other.overall_hardness
-            and self.best_arm == other.best_arm
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
 
@@ -164,7 +157,7 @@ def compute_hardness(instance: BanditInstance) -> HardnessReport:
 
 @dataclass(frozen=True)
 class ExponentPrediction:
-    """Predicted error-probability exponents for a budget, for qualitative use.
+    """Predicted error exponents for a budget, in its document's key order.
 
     The lower bound says some instance of matching difficulty forces error
     at least ``lower_bound_prefactor * exp(-lower_bound_exponent)``; the
@@ -176,14 +169,14 @@ class ExponentPrediction:
     of scaling, not certified numerics at experiment scale.
     """
 
+    budget: int
+    sub_gaussian_r: float
     lower_bound_exponent: float
-    upper_bound_exponent: float
     lower_bound_prefactor: float
+    upper_bound_exponent: float
     upper_bound_prefactor: float
     feasibility_family_exponent: float
     risky_family_exponent: float
-    budget: int
-    sub_gaussian_r: float
 
 
 def predict_exponents(

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -262,19 +262,7 @@ class SweepResult:
         """Comma-separated table, one row per cell."""
         lines = [",".join(_TABLE_COLUMNS)]
         for c in self.cells:
-            lines.append(
-                ",".join(
-                    [
-                        c.algorithm,
-                        str(c.budget),
-                        str(c.trials),
-                        _fmt(c.accuracy),
-                        _fmt(c.log_error),
-                        _fmt(c.delta_band),
-                        _fmt(c.bernoulli_ci),
-                    ]
-                )
-            )
+            lines.append(",".join(str(getattr(c, column)) for column in _TABLE_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -283,34 +271,25 @@ class SweepResult:
             "instance": self.instance_name,
             "base_seed": self.base_seed,
             "trials": self.trials,
-            "cells": [
-                {
-                    "algorithm": c.algorithm,
-                    "budget": c.budget,
-                    "trials": c.trials,
-                    "error_count": c.error_count,
-                    "accuracy": _json_safe(c.accuracy),
-                    "log_error": _json_safe(c.log_error),
-                    "delta_band": _json_safe(c.delta_band),
-                    "bernoulli_ci": _json_safe(c.bernoulli_ci),
-                    "wall_time": c.wall_time,
-                    "note": c.note,
-                }
-                for c in self.cells
-            ],
+            "cells": _plain(self.cells),
         }
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _json_safe(x: float) -> float | str:
-    """``x``, or "nan", "inf" or "-inf" where JSON has no literal for it."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+def _plain(x: Any) -> Any:
+    """``x`` as JSON data: a dataclass becomes a dict of its fields in
+    declaration order, an ndarray or tuple a list, and a float with no JSON
+    literal "nan", "inf" or "-inf", item by item through lists and dicts.
+    Anything else is returned as it is."""
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, np.ndarray):
+        return _plain(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return [_plain(item) for item in x]
+    if isinstance(x, dict):
+        return {key: _plain(value) for key, value in x.items()}
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return x
 
 
@@ -324,15 +303,10 @@ def _count_errors(
     lo: int,
     hi: int,
 ) -> int:
-    """Wrong decisions among trials ``lo..hi`` of one cell, run in batches of
-    at most ``_MAX_BATCH`` trials."""
-    errors = 0
-    for start in range(lo, hi, _MAX_BATCH):
-        trials = range(start, min(start + _MAX_BATCH, hi))
-        rngs = [RngStream(base_seed, trial_stream_id(algorithm, budget, t)) for t in trials]
-        decisions = _decisions(algorithm, instance, budget, rngs, **params)
-        errors += int(np.count_nonzero(decisions != best_arm))
-    return errors
+    """Wrong decisions among trials ``lo..hi`` of one cell, run as one batch."""
+    rngs = [RngStream(base_seed, trial_stream_id(algorithm, budget, t)) for t in range(lo, hi)]
+    decisions = _decisions(algorithm, instance, budget, rngs, **params)
+    return int(np.count_nonzero(decisions != best_arm))
 
 
 # The sweep's instance in a pool worker, set once per worker by
@@ -439,17 +413,16 @@ def _run_cell(
     executor: Executor | None,
     workers: int,
 ) -> int:
+    """Wrong decisions in one cell, its trials cut into batches of at most
+    ``_MAX_BATCH``, and with a pool of at most a quarter of a worker's share."""
     n = config.trials
-    if executor is None or n < 2 * workers:
-        return _count_errors(
-            config.instance, best_arm, algorithm, budget, params,
-            config.base_seed, 0, n,
-        )
-    chunk = max(1, math.ceil(n / (workers * 4)))
+    chunk = _MAX_BATCH if executor is None else min(_MAX_BATCH, math.ceil(n / (workers * 4)))
     tasks = [
         (best_arm, algorithm, budget, params, config.base_seed, lo, min(lo + chunk, n))
         for lo in range(0, n, chunk)
     ]
+    if executor is None:
+        return sum(_count_errors(config.instance, *task) for task in tasks)
     return sum(executor.map(_count_errors_task, tasks))
 
 

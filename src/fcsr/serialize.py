@@ -21,7 +21,7 @@ from .core import (
     Gaussian,
 )
 from .hardness import ExponentPrediction, HardnessReport
-from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, _json_safe, build_synthetic
+from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, _plain, build_synthetic
 from .movielens import table1_surrogate_instance
 
 __all__ = [
@@ -47,17 +47,47 @@ def _dist_to_dict(dist: AttributeDistribution) -> dict[str, Any]:
     raise TypeError(f"unknown distribution type {type(dist)!r}")
 
 
-def _dist_from_dict(data: dict[str, Any], arm: int, attribute: int) -> AttributeDistribution:
+# The JSON types a document value is checked for: the types ``json.loads``
+# reads each as (an integer is also a number; a bool is neither), and its name.
+_JSON_TYPES = {
+    dict: ((dict,), "a JSON object"), list: ((list,), "a JSON array"), str: ((str,), "a string"),
+    int: ((int,), "an integer"), float: ((int, float), "a number"),
+}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``kind(value)`` when ``value`` has the JSON type ``kind``; otherwise a
+    ``ValueError`` that names ``what``."""
+    types, name = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def _typed_items(value: Any, kind: type, what: str) -> tuple:
+    """The items of the JSON array ``value``, each of the JSON type ``kind``,
+    as a tuple; a ``ValueError`` names ``what`` and the first bad item."""
+    types, name = _JSON_TYPES[kind]
+    bad = [item for item in _typed(value, list, what) if type(item) not in types]
+    if bad:
+        raise ValueError(f"each item of {what} must be {name}, got {bad[0]!r}")
+    return tuple(value)
+
+
+def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistribution:
     """The distribution of one attribute document; a ``ValueError`` names
     the (1-based) arm and attribute it came from."""
-    kind = data.get("kind")
     try:
+        kind = _typed(data, dict, "the attribute").get("kind")
         if kind == "gaussian":
-            return Gaussian(mean=float(data["mean"]), variance=float(data["variance"]))
+            return Gaussian(
+                mean=_typed(data["mean"], float, "mean"),
+                variance=_typed(data["variance"], float, "variance"),
+            )
         if kind == "bernoulli":
-            return Bernoulli(p=float(data["p"]))
+            return Bernoulli(p=_typed(data["p"], float, "p"))
         if kind == "empirical":
-            return Empirical(values=tuple(data["values"]))
+            return Empirical(values=_typed_items(data["values"], float, "values"))
         raise ValueError(f"unknown distribution kind {kind!r}")
     except ValueError as exc:
         raise ValueError(f"arm {arm} attribute {attribute}: {exc}") from exc
@@ -79,22 +109,19 @@ def instance_to_dict(instance: BanditInstance) -> dict[str, Any]:
     return doc
 
 
-def instance_from_dict(doc: dict[str, Any]) -> BanditInstance:
-    arms = tuple(
-        tuple(_dist_from_dict(d, a, j) for j, d in enumerate(arm["attributes"], start=1))
-        for a, arm in enumerate(doc["arms"], start=1)
-    )
-    labels = None
-    if any("label" in arm for arm in doc["arms"]):
-        labels = tuple(
-            arm.get("label", str(i + 1)) for i, arm in enumerate(doc["arms"])
-        )
+def instance_from_dict(doc: Any) -> BanditInstance:
+    arm_docs = _typed(_typed(doc, dict, "an instance document")["arms"], list, "arms")
+    arms, labels = [], []
+    for a, arm in enumerate(arm_docs, start=1):
+        attributes = _typed(_typed(arm, dict, f"arm {a}")["attributes"], list, f"arm {a} attributes")
+        arms.append(tuple(_dist_from_dict(d, a, j) for j, d in enumerate(attributes, start=1)))
+        labels.append(_typed(arm.get("label", str(a)), str, f"arm {a} label"))
     attr_labels = doc.get("attribute_labels")
     return BanditInstance(
-        arms=arms,
-        threshold=float(doc["threshold"]),
-        arm_labels=labels,
-        attribute_labels=tuple(attr_labels) if attr_labels else None,
+        arms=tuple(arms),
+        threshold=_typed(doc["threshold"], float, "threshold"),
+        arm_labels=tuple(labels) if any("label" in arm for arm in arm_docs) else None,
+        attribute_labels=_typed_items(attr_labels, str, "attribute_labels") if attr_labels else None,
     )
 
 
@@ -109,7 +136,7 @@ def read_instance(path: str | Path) -> BanditInstance:
 
 
 # The keyword arguments of ``build_synthetic`` an instance block may set,
-# each with the type its value is read as.
+# each with its JSON type.
 _SYNTHETIC_KEYS = {"gap": float, "num_arms": int, "num_attributes": int, "variance": float}
 
 # The keys of a sweep config document, required ones first.
@@ -125,7 +152,7 @@ def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
     synthetic-instance keyword arguments (``name`` plus optional ``gap``,
     ``num_arms``, ``num_attributes``, ``variance``). A key the dict form
     does not read is an error, so that a misspelt key cannot silently
-    leave a default in place.
+    leave a default in place; so is a value of the wrong JSON type.
     """
     if isinstance(ref, dict):
         unread = [key for key in ref if key != "name" and key not in _SYNTHETIC_KEYS]
@@ -138,10 +165,11 @@ def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
         if name not in SYNTHETIC_NAMES:
             raise ValueError(f"unknown synthetic instance name {name!r}")
         kwargs = {
-            key: read(ref[key]) for key, read in _SYNTHETIC_KEYS.items()
+            key: _typed(ref[key], kind, f"instance {key}") for key, kind in _SYNTHETIC_KEYS.items()
             if ref.get(key) is not None
         }
         return build_synthetic(name, **kwargs), name
+    _typed(ref, str, "instance")
     if ref in SYNTHETIC_NAMES:
         return build_synthetic(ref), ref
     if ref == "table1-surrogate":
@@ -161,7 +189,7 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
     Required keys: ``instance``, ``algorithms``, ``budgets``, ``trials``.
     Optional: ``base_seed``, which the caller resolves into ``base_seed``
     (the command line's ``--seed`` comes first), and ``params``. Any other
-    key is an error.
+    key, or a value of the wrong JSON type, is an error that names it.
     """
     unread = [key for key in doc if key not in _SWEEP_KEYS]
     if unread:
@@ -174,11 +202,14 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
     instance, name = resolve_instance(doc["instance"])
     return SweepConfig(
         instance=instance,
-        algorithms=tuple(doc["algorithms"]),
-        budgets=tuple(int(b) for b in doc["budgets"]),
-        trials=int(doc["trials"]),
-        base_seed=int(base_seed),
-        params={k: dict(v) for k, v in doc.get("params", {}).items()},
+        algorithms=_typed_items(doc["algorithms"], str, "algorithms"),
+        budgets=_typed_items(doc["budgets"], int, "budgets"),
+        trials=_typed(doc["trials"], int, "trials"),
+        base_seed=_typed(base_seed, int, "base_seed"),
+        params={
+            k: _typed(v, dict, f"params of {k!r}")
+            for k, v in _typed(doc.get("params", {}), dict, "params").items()
+        },
         instance_name=name,
     )
 
@@ -186,50 +217,19 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
 def hardness_to_dict(
     report: HardnessReport, prediction: ExponentPrediction | None = None
 ) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "num_arms": report.num_arms,
-        "num_attributes": report.num_attributes,
-        "best_arm": report.best_arm,
-        "tied_best": list(report.tied_best),
-        "risky_set": list(report.risky_set),
-        "threshold_gaps": [
-            [_json_safe(float(g)) for g in row] for row in report.threshold_gaps
-        ],
-        "suboptimality_gaps": [
-            _json_safe(float(g)) for g in report.suboptimality_gaps
-        ],
-        "mean_hardness": _json_safe(report.mean_hardness),
-        "feasibility_hardness": _json_safe(report.feasibility_hardness),
-        "risky_hardness": _json_safe(report.risky_hardness),
-        "overall_hardness": _json_safe(report.overall_hardness),
-    }
+    doc = _plain(report)
     if prediction is not None:
-        doc["exponent_prediction"] = {
-            "budget": prediction.budget,
-            "sub_gaussian_r": prediction.sub_gaussian_r,
-            "lower_bound_exponent": _json_safe(prediction.lower_bound_exponent),
-            "lower_bound_prefactor": prediction.lower_bound_prefactor,
-            "upper_bound_exponent": _json_safe(prediction.upper_bound_exponent),
-            "upper_bound_prefactor": prediction.upper_bound_prefactor,
-            "feasibility_family_exponent": _json_safe(
-                prediction.feasibility_family_exponent
-            ),
-            "risky_family_exponent": _json_safe(prediction.risky_family_exponent),
-        }
+        doc["exponent_prediction"] = _plain(prediction)
     return doc
 
 
 def trace_to_dict(trace: RunTrace) -> dict[str, Any]:
-    return {
-        "decision": trace.decision,
-        "pulls_total": trace.pulls_total,
-        "pulls_by_phase": dict(trace.pulls_by_phase),
-        "elimination_order": list(trace.elimination_order),
-        "per_round_scores": [
-            {str(arm): score for arm, score in round_scores}
-            for round_scores in trace.per_round_scores
-        ],
-    }
+    doc = _plain(trace)
+    doc["per_round_scores"] = [
+        {str(arm): score for arm, score in round_scores}
+        for round_scores in doc["per_round_scores"]
+    ]
+    return doc
 
 
 def write_sweep_result(result: SweepResult, table_path: str | Path, json_path: str | Path) -> None:

@@ -1,14 +1,27 @@
 """End-to-end command-line tests (direct main() invocation)."""
 
 import json
+import tempfile
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcsr.algorithms import RunTrace, run_algorithm
 from fcsr.cli import main
-from fcsr.core import oracle
-from fcsr.serialize import instance_to_dict, load_sweep_config, read_instance, write_instance
-from fcsr.harness import build_synthetic
+from fcsr.core import BanditInstance, Gaussian, RngStream, oracle
+from fcsr.hardness import ExponentPrediction, HardnessReport, compute_hardness, predict_exponents
+from fcsr.serialize import (
+    hardness_to_dict,
+    instance_to_dict,
+    load_sweep_config,
+    read_instance,
+    trace_to_dict,
+    write_instance,
+)
+from fcsr.harness import CellResult, SweepConfig, SweepResult, build_synthetic, run_sweep
 
 
 def test_gen_instance_mean(tmp_path, capsys):
@@ -63,6 +76,46 @@ def test_hardness_output(tmp_path, capsys):
     assert doc["best_arm"] == 1
     assert doc["overall_hardness"] == pytest.approx(2 / 0.003**2, rel=1e-9)
     assert doc["exponent_prediction"]["upper_bound_exponent"] > 0
+
+
+def test_hardness_writes_infinite_risky_hardness_as_a_string(tmp_path, capsys):
+    # Arm 2 is infeasible with one attribute exactly at the threshold.
+    instance = BanditInstance(
+        arms=((Gaussian(0.8, 0.3), Gaussian(0.8, 0.3)), (Gaussian(0.9, 0.3), Gaussian(0.5, 0.3))),
+        threshold=0.5,
+    )
+    path = tmp_path / "at-threshold.json"
+    write_instance(instance, path)
+    assert main(["hardness", str(path), "--budget", "9000"]) == 0
+
+    def reject(literal):
+        raise ValueError(f"{literal} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert doc["risky_hardness"] == "inf"
+    assert doc["overall_hardness"] == "inf"
+
+
+def test_result_documents_hold_their_dataclass_fields_in_order():
+    names = lambda cls: [f.name for f in fields(cls)]
+    instance = build_synthetic("risky", num_arms=3, num_attributes=2)
+    report = compute_hardness(instance)
+    doc = hardness_to_dict(report, predict_exponents(report, 9000))
+    assert list(doc) == names(HardnessReport) + ["exponent_prediction"]
+    assert list(doc["exponent_prediction"]) == names(ExponentPrediction)
+    assert list(trace_to_dict(run_algorithm("fcsr", instance, 200, RngStream(1)))) == names(RunTrace)
+    result = run_sweep(SweepConfig(instance, ("us",), (20,), 2, 1))
+    doc = result.to_json_dict()
+    assert list(doc) == ["instance", "base_seed", "trials", "cells"]
+    assert [list(cell) for cell in doc["cells"]] == [names(CellResult)]
+    # A field added to a cell reaches the document with no writer edit.
+    extended = make_dataclass(
+        "Extended", [("failure_modes", dict, field(default_factory=lambda: {"risky": 1}))],
+        bases=(CellResult,), frozen=True,
+    )
+    cell = extended(*(getattr(result.cells[0], name) for name in names(CellResult)))
+    doc = SweepResult("risky", 1, 2, (cell,)).to_json_dict()
+    assert doc["cells"][0]["failure_modes"] == {"risky": 1}
 
 
 def test_hardness_pretty(tmp_path, capsys):
@@ -218,6 +271,122 @@ def test_sweep_config_rejects_bad_params(tmp_path):
         with pytest.raises(ValueError) as err:
             load_sweep_config(dict(doc, params=params), 1)
         assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"params": {"us": 5}}, "params of 'us' must be a JSON object, got 5"),
+        ({"algorithms": 5}, "algorithms must be a JSON array, got 5"),
+        ({"budgets": 100}, "budgets must be a JSON array, got 100"),
+        ({"budgets": [500, 1000.5]}, "each item of budgets must be an integer, got 1000.5"),
+        ({"trials": [2]}, "trials must be an integer, got [2]"),
+        ({"instance": 5}, "instance must be a string, got 5"),
+        ({"instance": {"name": "risky", "num_arms": "4"}}, "instance num_arms must be an integer, got '4'"),
+    ],
+    ids=["params", "algorithms", "budgets", "budget-item", "trials", "instance", "instance-key"],
+)
+def test_sweep_config_names_a_value_of_the_wrong_type(tmp_path, capsys, overrides, message):
+    config = _sweep_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _bad_mean(doc):
+    doc["arms"][0]["attributes"][0]["mean"] = [1]
+    return doc
+
+
+def _bad_attributes(doc):
+    doc["arms"][0]["attributes"] = {"mean": 0.5}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_bad_mean, "arm 1 attribute 1: mean must be a number, got [1]"),
+        (_bad_attributes, "arm 1 attributes must be a JSON array, got {'mean': 0.5}"),
+        (lambda doc: [doc], "an instance document must be a JSON object, got [{"),
+    ],
+    ids=["mean", "attributes", "top-level-list"],
+)
+def test_instance_document_names_a_value_of_the_wrong_type(tmp_path, capsys, spoil, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spoil(instance_to_dict(build_synthetic("risky")))))
+    assert main(["hardness", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# Any JSON value; integers stay small, so that a replaced size, budget or
+# trial count keeps the sweep short.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 60) | st.floats() | st.text(max_size=8),
+    lambda items: st.lists(items, max_size=3) | st.dictionaries(st.text(max_size=5), items, max_size=3),
+    max_leaves=6,
+)
+_CONFIG = {
+    "instance": {"name": "risky", "num_arms": 3, "num_attributes": 2, "gap": 0.02},
+    "algorithms": ["us", "sr"],
+    "budgets": [6, 12],
+    "trials": 2,
+    "base_seed": 1,
+    "params": {"us": {"threshold": 0.5}},
+}
+_INSTANCE = {
+    "threshold": 0.5,
+    "arms": [
+        {"label": "a", "attributes": [
+            {"kind": "gaussian", "mean": 0.7, "variance": 0.3}, {"kind": "bernoulli", "p": 0.6},
+        ]},
+        {"attributes": [
+            {"kind": "empirical", "values": [0.2, 0.9]}, {"kind": "gaussian", "mean": 0.4, "variance": 0.1},
+        ]},
+    ],
+    "attribute_labels": ["x", "y"],
+}
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside ``doc``, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.sampled_from(["config", "instance"]),
+    pick=st.integers(0, 10**6),
+    value=_JSON,
+)
+def test_any_value_in_a_document_exits_0_or_2(which, pick, value):
+    """One value of a valid sweep config or instance document replaced by
+    any JSON value: the command succeeds or exits 2, and never raises."""
+    base = _CONFIG if which == "config" else _INSTANCE
+    paths = list(_paths(base))
+    doc = _replaced(base, paths[pick % len(paths)], value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        if which == "config":
+            runs = [["sweep", "--config", str(path), "--out", str(Path(tmp) / "o.csv")]]
+        else:
+            runs = [["hardness", str(path)],
+                    ["run", str(path), "--algorithm", "fcsr", "--budget", "40", "--seed", "1"]]
+        for argv in runs:
+            assert main(argv) in (0, 2)
 
 
 def test_sweep_instance_from_file(tmp_path):

@@ -1,6 +1,7 @@
 """Hardness-index tests against an independent brute-force oracle."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ def test_single_arm_rejected():
         compute_hardness(
             BanditInstance(arms=((Bernoulli(0.7), Bernoulli(0.8)),), threshold=0.5)
         )
+
+
+def test_report_equality_compares_every_field():
+    report = compute_hardness(build_synthetic("combined"))
+    assert report == compute_hardness(build_synthetic("combined"))
+    for f in fields(report):
+        value = getattr(report, f.name)
+        changed = value + (99,) if isinstance(value, tuple) else value + 1
+        assert replace(report, **{f.name: changed}) != report, f.name
 
 
 def test_mean_hardness_range_behaviour():

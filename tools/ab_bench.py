@@ -6,10 +6,18 @@ Extracts the git ref ``--ref`` with ``git archive`` into a temporary
 directory, then runs ``bench/run.py --trace 0`` there and in the working
 tree, once per seed on each side, alternating which side runs first. For
 each end-to-end metric that ``BENCHMARK.json`` declares, it prints each
-side's median and quartiles, the change's median over the ref's, and how
-many pairs the change won. Each run's metrics go to stderr as it ends.
-Every run must read ``correct=true`` with 0 failed, or the script names
-those that did not and exits 1.
+side's median and quartiles, the change's median over the ref's, how many
+pairs the change won, and a verdict against the metric's declared bound:
+
+* ``regressed``: the change's median is worse than the ref's by more than
+  the bound;
+* ``unresolved``: the ref's quartile spread, over its median, exceeds the
+  bound, and not every run of the change beats every run of the ref;
+* ``ok``: otherwise.
+
+Each run's metrics go to stderr as it ends. The script exits 1 when a
+metric regressed, or when a run did not read ``correct=true`` with 0
+failed, and names the runs that did not.
 """
 
 from __future__ import annotations
@@ -47,6 +55,17 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(ref: list[float], new: list[float], higher: bool, bound: float) -> str:
+    """``regressed``, ``unresolved`` or ``ok``, as the module docstring says."""
+    (r1, r2, r3), c2 = summary(ref), statistics.median(new)
+    if (c2 < r2 * (1 - bound)) if higher else (c2 > r2 * (1 + bound)):
+        return "regressed"
+    beats_all = min(new) > max(ref) if higher else max(new) < min(ref)
+    if (r3 - r1) / r2 > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True, help="git ref to compare against, e.g. HEAD~1")
@@ -72,7 +91,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.workload}: {args.ref} against the working tree, {len(seeds)} pairs, "
           f"seeds {args.seeds}")
-    print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins")
+    print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins  verdict")
+    regressed = []
     for metric in declared:
         name = metric["name"]
         ref = [r["metrics"][name]["value"] for r in runs["ref"]]
@@ -81,13 +101,18 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum((b > a) if higher else (b < a) for a, b in zip(ref, new))
         (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
         ref_col, new_col = f"{r2:.5g} [{r1:.5g}, {r3:.5g}]", f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
-        print(f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f} {wins}/{len(seeds)}")
+        mark = verdict(ref, new, higher, metric["bound"])
+        if mark == "regressed":
+            regressed.append(name)
+        print(f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f} {wins:>2}/{len(seeds):<3} {mark}")
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if wrong:
         print(f"runs not correct: {wrong}")
-        return 1
-    print("every run read correct=true with 0 failed")
-    return 0
+    else:
+        print("every run read correct=true with 0 failed")
+    if regressed:
+        print(f"regressed beyond the declared bound: {regressed}")
+    return 1 if wrong or regressed else 0
 
 
 if __name__ == "__main__":
