@@ -671,16 +671,26 @@ def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None)
     )
 
 
-def _one_trial(run: Callable, instance, budget, rng, *params) -> tuple[int, list]:
-    """The decision of one trial of the batched ``run``, and its scoring
-    points as (arm ids, scores, pulls so far), with the id of the arm dropped
-    there, if one was."""
+def _one_trial(run: Callable, phases: tuple[str, ...], instance, budget, rng, *params) -> RunTrace:
+    """The trace of one trial of the batched ``run``. Its scoring points are
+    the rounds of ``per_round_scores``, and the arms dropped there make
+    ``elimination_order``. The pulls made before scoring point i count under
+    ``phases[i]``, the last name repeating."""
     log: list = []
     decision = run(instance, budget, [_as_generator(rng)], *params, log=log)
-    return int(decision[0]), [
-        ((a[0] + 1).tolist(), s[0].tolist(), used, *(int(x[0]) + 1 for x in lost))
-        for a, s, used, *lost in log
-    ]
+    pulls: dict[str, int] = {}
+    used = 0
+    for i, (_, _, now, *_) in enumerate(log):
+        phase = phases[min(i, len(phases) - 1)]
+        pulls[phase] = pulls.get(phase, 0) + now - used
+        used = now
+    return RunTrace(
+        decision=int(decision[0]),
+        pulls_total=used,
+        pulls_by_phase=pulls,
+        elimination_order=tuple(int(lost[0]) + 1 for _, _, _, *dropped in log for lost in dropped),
+        per_round_scores=tuple(tuple(zip((a[0] + 1).tolist(), s[0].tolist())) for a, s, *_ in log),
+    )
 
 
 def run_uniform_baseline(
@@ -694,13 +704,7 @@ def run_uniform_baseline(
     Decides on the empirically feasible arm with the highest empirical arm
     mean (lowest index on ties), or 0 when no arm looks feasible.
     """
-    decision, [(ids, scores, used)] = _one_trial(_us, instance, budget, rng, threshold)
-    return RunTrace(
-        decision=decision,
-        pulls_total=used,
-        pulls_by_phase={"uniform": used},
-        per_round_scores=(tuple(zip(ids, scores)),),
-    )
+    return _one_trial(_us, ("uniform",), instance, budget, rng, threshold)
 
 
 def run_sr_baseline(
@@ -718,15 +722,7 @@ def run_sr_baseline(
     This is FCSR's loop with the adaptive thresholding and
     sample-until-feasible budgets at 0.
     """
-    decision, rounds = _one_trial(_sr, instance, budget, rng, threshold)
-    used = rounds[-1][2]
-    return RunTrace(
-        decision=decision,
-        pulls_total=used,
-        pulls_by_phase={"uniform": used},
-        elimination_order=tuple(lost for *_, lost in rounds),
-        per_round_scores=tuple(tuple(zip(ids, scores)) for ids, scores, *_ in rounds),
-    )
+    return _one_trial(_sr, ("uniform",), instance, budget, rng, threshold)
 
 
 def run_etc_baseline(
@@ -744,14 +740,7 @@ def run_etc_baseline(
     candidates' attributes. The highest-scoring candidate is returned if it
     looks feasible, else 0.
     """
-    decision, stages = _one_trial(_etc, instance, budget, rng, threshold, explore_fraction)
-    (ids, stage1, explored), (candidates, final, used) = stages
-    return RunTrace(
-        decision=decision,
-        pulls_total=used,
-        pulls_by_phase={"explore": explored, "commit": used - explored},
-        per_round_scores=(tuple(zip(ids, stage1)), tuple(zip(candidates, final))),
-    )
+    return _one_trial(_etc, ("explore", "commit"), instance, budget, rng, threshold, explore_fraction)
 
 
 def _fcsr(instance, budget, gens, **params) -> np.ndarray:

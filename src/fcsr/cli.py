@@ -27,12 +27,10 @@ from .hardness import (
     generate_risky_class,
     predict_exponents,
 )
-from .harness import SYNTHETIC_NAMES, build_synthetic, run_sweep
+from .harness import GAUSSIAN_VARIANCE, SYNTHETIC_NAMES, build_synthetic, run_sweep
 from .movielens import (
     DEFAULT_MIN_RATINGS,
-    DEFAULT_NORMALIZER,
     DEFAULT_THRESHOLD,
-    PortfolioSpec,
     auto_select_portfolios,
     build_instance,
     parse_corpus,
@@ -41,6 +39,7 @@ from .serialize import (
     hardness_to_dict,
     instance_to_dict,
     load_sweep_config,
+    portfolio_from_dict,
     read_instance,
     trace_to_dict,
     write_instance,
@@ -78,12 +77,11 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
             kind, gap=args.a, num_arms=args.k, num_attributes=args.m,
             variance=args.variance,
         )
-        doc = json.dumps(instance_to_dict(instance), indent=2)
         if args.out:
-            Path(args.out).write_text(doc + "\n", encoding="utf-8")
+            write_instance(instance, args.out)
             _log(f"wrote {args.out}")
         else:
-            print(doc)
+            print(json.dumps(instance_to_dict(instance), indent=2))
         return 0
     # family generators write one file per member
     if args.out is None:
@@ -191,15 +189,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     if args.portfolios:
         doc = json.loads(Path(args.portfolios).read_text(encoding="utf-8"))
-        arms = tuple({g: int(m) for g, m in arm.items()} for arm in doc["arms"])
-        spec = PortfolioSpec(
-            genres=tuple(doc["genres"]),
-            arms=arms,
-            threshold=float(doc.get("threshold", args.threshold)),
-            min_ratings=int(doc.get("min_ratings", args.min_ratings)),
-            normalizer=float(doc.get("normalizer", args.normalizer)),
-            arm_labels=tuple(doc["arm_labels"]) if "arm_labels" in doc else None,
-        )
+        spec = portfolio_from_dict(doc, args.threshold, args.min_ratings)
     else:
         seed = _pick_seed(args.seed)
         spec = auto_select_portfolios(
@@ -208,7 +198,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             num_attributes=args.m,
             min_ratings=args.min_ratings,
             threshold=args.threshold,
-            normalizer=args.normalizer,
             seed=seed,
         )
     instance = build_instance(corpus, spec)
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--a", type=float, default=None, help="difficulty gap in (0.001, 0.1)")
     gen.add_argument("--k", type=int, default=10, help="number of arms")
     gen.add_argument("--m", type=int, default=5, help="number of attributes")
-    gen.add_argument("--variance", type=float, default=0.3,
+    gen.add_argument("--variance", type=float, default=GAUSSIAN_VARIANCE,
                      help="Gaussian reward variance for the synthetic benchmarks")
     gen.add_argument("--d", type=float, default=None, help="feasibility-class gap in (0, 0.25]")
     gen.add_argument("--beta", type=float, default=None, help="risky-class difficulty in (0, 1)")
@@ -280,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--m", type=int, default=5, help="genres to auto-select")
     ingest.add_argument("--min-ratings", type=int, default=DEFAULT_MIN_RATINGS)
     ingest.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    ingest.add_argument("--normalizer", type=float, default=DEFAULT_NORMALIZER)
     ingest.add_argument("--seed", type=int, default=None)
     ingest.add_argument("--out", required=True, help="output instance path")
     ingest.set_defaults(handler=_cmd_ingest)

@@ -109,10 +109,7 @@ def compute_hardness(instance: BanditInstance) -> HardnessReport:
     best_mean = arm_means[best - 1] if best else math.inf
 
     threshold_gaps = np.abs(instance.attribute_means - instance.threshold)
-    if best:
-        subopt = np.abs(best_mean - arm_means)
-    else:
-        subopt = np.full(num_arms, math.inf)
+    subopt = np.abs(best_mean - arm_means)
 
     feasible = set(truth.feasible_arms)
     infeasible = [i for i in range(1, num_arms + 1) if i not in feasible]
@@ -188,12 +185,14 @@ def predict_exponents(
     zero exponents.
 
     Raises:
-        ValueError: if R <= 0, the budget is negative, or the overall
-            hardness is 0 (an unconstrained trivial instance, for which the
-            prediction is vacuous).
+        ValueError: if R is not positive and finite, the budget is
+            negative, or the overall hardness is 0 (an unconstrained trivial
+            instance, for which the prediction is vacuous).
     """
-    if sub_gaussian_r <= 0.0:
-        raise ValueError("sub-Gaussian parameter R must be positive")
+    if not 0.0 < sub_gaussian_r < math.inf:
+        raise ValueError(
+            f"sub-Gaussian parameter R must be positive and finite, got {sub_gaussian_r}"
+        )
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if report.overall_hardness <= 0.0:

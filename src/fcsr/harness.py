@@ -436,8 +436,9 @@ def weighted_log_error_slope(
     Each point is weighted by the inverse delta-method variance
     accuracy / (N (1 - accuracy)), and the returned standard error of the
     slope comes from the same variances, so ``slope + 1.645 * stderr < 0``
-    is a one-sided 95% test for error decaying with budget. Requires every
-    accuracy strictly inside (0, 1) and at least two points.
+    is a one-sided 95% test for error decaying with budget. Requires at
+    least two points, finite budgets, every accuracy strictly inside (0, 1)
+    (a NaN accuracy, as a failed cell records, is not) and at least one trial.
 
     Returns:
         (slope, stderr).
@@ -446,8 +447,12 @@ def weighted_log_error_slope(
     acc = np.asarray(accuracies, dtype=np.float64)
     if x.shape != acc.shape or x.size < 2:
         raise ValueError("need matching budgets/accuracies with >= 2 points")
-    if np.any(acc <= 0.0) or np.any(acc >= 1.0):
-        raise ValueError("slope fit needs accuracies strictly inside (0, 1)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"slope fit needs finite budgets, got {x.tolist()}")
+    if not np.all((acc > 0.0) & (acc < 1.0)):
+        raise ValueError(f"slope fit needs accuracies strictly inside (0, 1), got {acc.tolist()}")
+    if not trials >= 1:
+        raise ValueError(f"slope fit needs trials >= 1, got {trials}")
     y = np.log(1.0 - acc)
     var = acc / (trials * (1.0 - acc))
     w = 1.0 / var

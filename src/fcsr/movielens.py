@@ -43,7 +43,6 @@ RATING_MIN = 0.5
 RATING_MAX = 5.0
 DEFAULT_THRESHOLD = 0.73
 DEFAULT_MIN_RATINGS = 800
-DEFAULT_NORMALIZER = 5.0
 
 _RATINGS_HEADER = ("userId", "movieId", "rating", "timestamp")
 _MOVIES_HEADER = ("movieId", "title", "genres")
@@ -183,7 +182,6 @@ class PortfolioSpec:
         threshold: feasibility cutoff on normalized mean rating.
         min_ratings: movies below this rating count are rejected (inclusive
             bound: exactly ``min_ratings`` ratings is accepted).
-        normalizer: ratings are divided by this before clamping to [0, 1].
         arm_labels: optional display names per portfolio.
     """
 
@@ -191,7 +189,6 @@ class PortfolioSpec:
     arms: tuple[Mapping[str, int], ...]
     threshold: float = DEFAULT_THRESHOLD
     min_ratings: int = DEFAULT_MIN_RATINGS
-    normalizer: float = DEFAULT_NORMALIZER
     arm_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -206,15 +203,13 @@ class PortfolioSpec:
                     f"portfolio {idx} covers genres {sorted(arm)}, expected "
                     f"{sorted(genre_set)} (genre mismatch across portfolios)"
                 )
-        if self.normalizer <= 0:
-            raise ValueError("normalizer must be positive")
 
 
 def build_instance(corpus: RatingsCorpus, spec: PortfolioSpec) -> BanditInstance:
     """Materialize a portfolio spec into a bandit instance.
 
     Attribute (i, j) replays movie ``spec.arms[i][spec.genres[j]]``'s
-    ratings, each divided by the normalizer and clamped into [0, 1].
+    ratings, each divided by ``RATING_MAX``.
     Every referenced movie must clear the min-ratings filter.
     """
     rows = []
@@ -230,8 +225,7 @@ def build_instance(corpus: RatingsCorpus, spec: PortfolioSpec) -> BanditInstance
                     f"movie {name!r} has {len(values)} ratings, below the "
                     f"minimum {spec.min_ratings}"
                 )
-            normalized = np.clip(values / spec.normalizer, 0.0, 1.0)
-            dists.append(Empirical(tuple(normalized.tolist())))
+            dists.append(Empirical(tuple((values / RATING_MAX).tolist())))
         rows.append(tuple(dists))
     labels = spec.arm_labels or tuple(str(i) for i in range(len(spec.arms)))
     return BanditInstance(
@@ -248,7 +242,6 @@ def auto_select_portfolios(
     num_attributes: int = 5,
     min_ratings: int = DEFAULT_MIN_RATINGS,
     threshold: float = DEFAULT_THRESHOLD,
-    normalizer: float = DEFAULT_NORMALIZER,
     seed: int = 0,
 ) -> PortfolioSpec:
     """Assemble K random portfolios from the corpus, deterministically per seed.
@@ -298,7 +291,6 @@ def auto_select_portfolios(
         arms=arms,
         threshold=threshold,
         min_ratings=min_ratings,
-        normalizer=normalizer,
     )
 
 

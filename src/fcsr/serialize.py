@@ -1,6 +1,6 @@
-"""File formats: instance documents, sweep configs, reports.
+"""File formats: instance, sweep config and portfolio documents, reports.
 
-Instances and sweep configurations are JSON documents. Floats survive a
+Instances, sweep configs and portfolios are JSON documents. Floats survive a
 parse -> write -> parse round trip bit-exactly (Python's JSON writer emits
 shortest-repr decimals), which is what makes instance files a reliable
 interchange format between the generators, the harness, and the CLI.
@@ -22,7 +22,7 @@ from .core import (
 )
 from .hardness import ExponentPrediction, HardnessReport
 from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, _plain, build_synthetic
-from .movielens import table1_surrogate_instance
+from .movielens import PortfolioSpec, table1_surrogate_instance
 
 __all__ = [
     "instance_to_dict",
@@ -31,6 +31,7 @@ __all__ = [
     "read_instance",
     "resolve_instance",
     "load_sweep_config",
+    "portfolio_from_dict",
     "hardness_to_dict",
     "trace_to_dict",
     "write_sweep_result",
@@ -72,6 +73,18 @@ def _typed_items(value: Any, kind: type, what: str) -> tuple:
     if bad:
         raise ValueError(f"each item of {what} must be {name}, got {bad[0]!r}")
     return tuple(value)
+
+
+def _keys(doc: dict, valid: tuple, required: tuple, what: str) -> None:
+    """A ``ValueError`` that names each key of ``doc`` outside ``valid``, so
+    that a misspelt key cannot silently leave a default in place, or else
+    each key of ``required`` that ``doc`` lacks."""
+    unread = [key for key in doc if key not in valid]
+    if unread:
+        raise ValueError(f"{what} has keys it does not read: {unread}; valid: {list(valid)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
 
 
 def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistribution:
@@ -139,9 +152,11 @@ def read_instance(path: str | Path) -> BanditInstance:
 # each with its JSON type.
 _SYNTHETIC_KEYS = {"gap": float, "num_arms": int, "num_attributes": int, "variance": float}
 
-# The keys of a sweep config document, required ones first.
+# The keys of sweep config and portfolio documents, required ones first.
 _SWEEP_REQUIRED = ("instance", "algorithms", "budgets", "trials")
 _SWEEP_KEYS = (*_SWEEP_REQUIRED, "base_seed", "params")
+_PORTFOLIO_REQUIRED = ("genres", "arms")
+_PORTFOLIO_KEYS = (*_PORTFOLIO_REQUIRED, "threshold", "min_ratings", "arm_labels")
 
 
 def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
@@ -155,12 +170,7 @@ def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
     leave a default in place; so is a value of the wrong JSON type.
     """
     if isinstance(ref, dict):
-        unread = [key for key in ref if key != "name" and key not in _SYNTHETIC_KEYS]
-        if unread:
-            raise ValueError(
-                f"instance block has keys it does not read: {unread}; "
-                f"valid: {['name', *_SYNTHETIC_KEYS]}"
-            )
+        _keys(ref, ("name", *_SYNTHETIC_KEYS), (), "instance block")
         name = ref.get("name")
         if name not in SYNTHETIC_NAMES:
             raise ValueError(f"unknown synthetic instance name {name!r}")
@@ -191,14 +201,7 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
     (the command line's ``--seed`` comes first), and ``params``. Any other
     key, or a value of the wrong JSON type, is an error that names it.
     """
-    unread = [key for key in doc if key not in _SWEEP_KEYS]
-    if unread:
-        raise ValueError(
-            f"sweep config has keys it does not read: {unread}; valid: {list(_SWEEP_KEYS)}"
-        )
-    missing = [k for k in _SWEEP_REQUIRED if k not in doc]
-    if missing:
-        raise ValueError(f"sweep config is missing keys: {', '.join(missing)}")
+    _keys(doc, _SWEEP_KEYS, _SWEEP_REQUIRED, "sweep config")
     instance, name = resolve_instance(doc["instance"])
     return SweepConfig(
         instance=instance,
@@ -211,6 +214,29 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
             for k, v in _typed(doc.get("params", {}), dict, "params").items()
         },
         instance_name=name,
+    )
+
+
+def portfolio_from_dict(doc: Any, threshold: float, min_ratings: int) -> PortfolioSpec:
+    """The spec of a parsed portfolio document: ``genres``, an array of
+    strings; ``arms``, an array of objects that map each genre to an integer
+    movie id; optionally a number ``threshold`` and an integer
+    ``min_ratings``, by default the arguments; and optionally ``arm_labels``,
+    an array of strings. Any other key, or a value of the wrong JSON type,
+    is an error that names it, or the (1-based) arm and the genre."""
+    doc = _typed(doc, dict, "a portfolio document")
+    _keys(doc, _PORTFOLIO_KEYS, _PORTFOLIO_REQUIRED, "portfolio document")
+    arms = tuple(
+        {genre: _typed(movie, int, f"arm {a} genre {genre!r}")
+         for genre, movie in _typed(arm, dict, f"arm {a}").items()}
+        for a, arm in enumerate(_typed(doc["arms"], list, "arms"), start=1)
+    )
+    return PortfolioSpec(
+        genres=_typed_items(doc["genres"], str, "genres"),
+        arms=arms,
+        threshold=_typed(doc.get("threshold", threshold), float, "threshold"),
+        min_ratings=_typed(doc.get("min_ratings", min_ratings), int, "min_ratings"),
+        arm_labels=_typed_items(doc["arm_labels"], str, "arm_labels") if "arm_labels" in doc else None,
     )
 
 

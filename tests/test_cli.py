@@ -78,6 +78,14 @@ def test_hardness_output(tmp_path, capsys):
     assert doc["exponent_prediction"]["upper_bound_exponent"] > 0
 
 
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_hardness_rejects_a_non_finite_r(tmp_path, capsys, r):
+    path = tmp_path / "mean.json"
+    write_instance(build_synthetic("mean"), path)
+    assert main(["hardness", str(path), "--r", r]) == 2
+    assert "parameter R must be positive and finite" in capsys.readouterr().err
+
+
 def test_hardness_writes_infinite_risky_hardness_as_a_string(tmp_path, capsys):
     # Arm 2 is infeasible with one attribute exactly at the threshold.
     instance = BanditInstance(
@@ -333,6 +341,13 @@ _CONFIG = {
     "base_seed": 1,
     "params": {"us": {"threshold": 0.5}},
 }
+_PORTFOLIO = {
+    "genres": ["Drama"],
+    "arms": [{"Drama": 1}, {"Drama": 2}],
+    "threshold": 0.7,
+    "min_ratings": 5,
+    "arm_labels": ["a", "b"],
+}
 _INSTANCE = {
     "threshold": 0.5,
     "arms": [
@@ -365,16 +380,27 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _two_movie_corpus(tmp) -> list[str]:
+    """Write six ratings of each of two Drama movies under ``tmp``; the
+    ``fcsr ingest`` arguments that read them."""
+    ratings_path, movies_path = Path(tmp) / "ratings.csv", Path(tmp) / "movies.csv"
+    rows = [f"{u},{m},4.0,{u}" for m in (1, 2) for u in range(6)]
+    ratings_path.write_text("userId,movieId,rating,timestamp\n" + "".join(r + "\n" for r in rows))
+    movies_path.write_text("movieId,title,genres\n1,A,Drama\n2,B,Drama\n")
+    return ["ingest", "--ratings", str(ratings_path), "--movies", str(movies_path)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    which=st.sampled_from(["config", "instance"]),
+    which=st.sampled_from(["config", "instance", "portfolio"]),
     pick=st.integers(0, 10**6),
     value=_JSON,
 )
 def test_any_value_in_a_document_exits_0_or_2(which, pick, value):
-    """One value of a valid sweep config or instance document replaced by
-    any JSON value: the command succeeds or exits 2, and never raises."""
-    base = _CONFIG if which == "config" else _INSTANCE
+    """One value of a valid sweep config, instance or portfolio document
+    replaced by any JSON value: the command succeeds or exits 2, and never
+    raises."""
+    base = {"config": _CONFIG, "instance": _INSTANCE, "portfolio": _PORTFOLIO}[which]
     paths = list(_paths(base))
     doc = _replaced(base, paths[pick % len(paths)], value)
     with tempfile.TemporaryDirectory() as tmp:
@@ -382,6 +408,9 @@ def test_any_value_in_a_document_exits_0_or_2(which, pick, value):
         path.write_text(json.dumps(doc))
         if which == "config":
             runs = [["sweep", "--config", str(path), "--out", str(Path(tmp) / "o.csv")]]
+        elif which == "portfolio":
+            out = str(Path(tmp) / "o.json")
+            runs = [[*_two_movie_corpus(tmp), "--portfolios", str(path), "--out", out]]
         else:
             runs = [["hardness", str(path)],
                     ["run", str(path), "--algorithm", "fcsr", "--budget", "40", "--seed", "1"]]
@@ -471,6 +500,30 @@ def test_ingest_portfolio_file(tmp_path):
     )
     assert code == 0
     assert read_instance(out).num_arms == 2
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({**_PORTFOLIO, "arms": [5]}, "arm 1 must be a JSON object"),
+        ([_PORTFOLIO], "a portfolio document must be a JSON object"),
+        ({**_PORTFOLIO, "genres": "Drama"}, "genres must be a JSON array"),
+        ({**_PORTFOLIO, "treshold": 0.2}, "keys it does not read: ['treshold']"),
+        ({**_PORTFOLIO, "arms": [{"Drama": 2.7}, {"Drama": 1}]},
+         "arm 1 genre 'Drama' must be an integer"),
+        ({**_PORTFOLIO, "normalizer": 5.0}, "keys it does not read: ['normalizer']"),
+    ],
+    ids=["arm-not-object", "top-level-list", "genres-string", "misspelt-key", "float-movie-id",
+         "normalizer"],
+)
+def test_ingest_rejects_a_malformed_portfolio_document(tmp_path, capsys, doc, named):
+    portfolio = tmp_path / "portfolio.json"
+    portfolio.write_text(json.dumps(doc))
+    out = tmp_path / "instance.json"
+    code = main([*_two_movie_corpus(tmp_path), "--portfolios", str(portfolio), "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_errors(tmp_path):

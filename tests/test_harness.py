@@ -405,3 +405,17 @@ def test_uniform_baseline_error_decays_with_budget():
         [c.budget for c in result.cells], accuracies, trials=800
     )
     assert slope + 1.645 * stderr < 0
+
+
+@pytest.mark.parametrize(
+    "budgets, accuracies, trials, named",
+    [
+        ([1000, 2000], [0.6, 0.8], 0, "trials"),
+        ([1000, math.inf], [0.6, 0.8], 100, "finite budgets"),
+        ([1000, 2000], [0.6, math.nan], 100, "accuracies"),
+    ],
+    ids=["no-trials", "infinite-budget", "nan-accuracy"],
+)
+def test_slope_fit_rejects_inputs_that_would_give_nan(budgets, accuracies, trials, named):
+    with pytest.raises(ValueError, match=named):
+        weighted_log_error_slope(budgets, accuracies, trials)
