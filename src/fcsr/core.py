@@ -9,6 +9,11 @@ with the highest average attribute mean.
 Arms are numbered 1..K and attributes 1..M throughout the public API. The
 integer 0 is reserved as the "no feasible arm" flag, both in oracle output
 and in algorithm decisions.
+
+Random stream (seed, id) is numpy's PCG64 seeded by ``SeedSequence((seed
+mod 2**64, id mod 2**64))``. ``RngStream.generator()`` builds one so and is
+the reference; ``_stream_generators`` seeds a batch of them in one
+vectorised pass that equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Gaussian",
@@ -170,13 +177,107 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         """Fresh generator at the start of this stream."""
         entropy = (self.seed % (1 << 64), self.stream_id % (1 << 64))
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        return Generator(PCG64(SeedSequence(entropy)))
 
 
-def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
+# SeedSequence's hash constants. numpy keeps its seeding algorithm fixed, so
+# that a seed names the same stream in every release.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _chain(init: int, mult: int, n: int) -> list[int]:
+    """The constants of n successive hashmix calls: call r xors with entry r
+    and multiplies by entry r + 1 (each entry is the last times ``mult``)."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# Entropy mixing hashes the 4 entropy words into the pool, then each pool
+# word into the other three in order, each call with the next constants of
+# chain A; the output hashes the pool, cycled, into 8 words with chain B.
+_CHAIN_A = _chain(_INIT_A, _MULT_A, 16)
+_CHAIN_B = _chain(_INIT_B, _MULT_B, 8)
+_FILL = (_column(_CHAIN_A[0:4]), _column(_CHAIN_A[1:5]))
+_OUTPUT = (_column(_CHAIN_B[0:8]), _column(_CHAIN_B[1:9]))
+
+
+def _pool_mix(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants to hash pool word ``src`` into all 4 words at once: its 3
+    calls go to the other words in order, and row ``src``, whose result is
+    dropped, repeats the first call's."""
+    calls = [4 + 3 * src + r for r in range(3)]
+    calls.insert(src, calls[0])
+    return _column([_CHAIN_A[k] for k in calls]), _column([_CHAIN_A[k + 1] for k in calls])
+
+
+_MIXES = tuple(_pool_mix(src) for src in range(4))
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, in wrapping uint32 arithmetic."""
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = x * _MIX_L - y * _MIX_R
+    return words ^ (words >> 16)
+
+
+class _State(ISeedSequence):
+    """One PCG64 seed state, computed ahead, handed to ``PCG64``, whose own C
+    code then sets the generator from it as it would from a SeedSequence."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"a precomputed PCG64 state holds 4 uint64 words, not {n_words} {np.dtype(dtype)}"
+            )
+        return self.words
+
+
+def _stream_generators(seed: int, stream_ids: Sequence[int]) -> list[Generator]:
+    """``RngStream(seed, i).generator()`` for each i of ``stream_ids``, bit
+    for bit, with the SeedSequence hashing done for all of them at once.
+
+    ``SeedSequence((seed, i))`` hashes the 32-bit words of seed then of i,
+    low word first, zero-padded to a pool of 4. At most 4 words never reach
+    the pool's overflow step, and a 0 word hashes as a missing one does, so
+    every id takes two words here with no per-stream branch. The pool then
+    yields the 4 uint64 words that ``generate_state(4, uint64)`` returns."""
+    seed %= 1 << 64
+    ids = np.array([i % (1 << 64) for i in stream_ids], dtype=np.uint64)
+    head = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.zeros((4, len(ids)), dtype=np.uint32)
+    entropy[: len(head)] = _column(head)
+    entropy[len(head)] = ids.astype(np.uint32)
+    entropy[len(head) + 1] = (ids >> 32).astype(np.uint32)
+    pool = _hashmix(entropy, *_FILL)
+    for src, (xor, mult) in enumerate(_MIXES):
+        word = pool[src].copy()
+        pool = _mix(pool, _hashmix(word, xor, mult))
+        pool[src] = word
+    out = _hashmix(np.concatenate([pool, pool]), *_OUTPUT).astype(np.uint64)
+    state = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+    return [Generator(PCG64(_State(row))) for row in state]
+
+
+def _as_generator(rng: RngStream | Generator) -> Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     return rng

@@ -5,7 +5,8 @@ instance and reports the fraction of trials whose decision matched the
 oracle's best arm. Each trial draws from its own random stream derived from
 (base seed, a stable hash of algorithm/budget/trial index), so results are
 identical whatever the execution order, worker count, or set of other
-algorithms in the sweep.
+algorithms in the sweep. Each batch of a cell's trials runs together, its
+generators seeded in one vectorised pass (``core._stream_generators``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .algorithms import _check_params, _decisions
-from .core import BanditInstance, Gaussian, RngStream, oracle
+from .core import BanditInstance, Gaussian, _stream_generators, oracle
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -303,9 +304,13 @@ def _count_errors(
     lo: int,
     hi: int,
 ) -> int:
-    """Wrong decisions among trials ``lo..hi`` of one cell, run as one batch."""
-    rngs = [RngStream(base_seed, trial_stream_id(algorithm, budget, t)) for t in range(lo, hi)]
-    decisions = _decisions(algorithm, instance, budget, rngs, **params)
+    """Wrong decisions among trials ``lo..hi`` (``hi`` excluded) of one cell,
+    run as one batch. Trial t draws from ``RngStream(base_seed,
+    trial_stream_id(algorithm, budget, t))``; the batch's generators are
+    seeded in one vectorised pass that equals ``RngStream.generator()`` bit
+    for bit."""
+    ids = [trial_stream_id(algorithm, budget, t) for t in range(lo, hi)]
+    decisions = _decisions(algorithm, instance, budget, _stream_generators(base_seed, ids), **params)
     return int(np.count_nonzero(decisions != best_arm))
 
 

@@ -252,6 +252,9 @@ def auto_select_portfolios(
     listed genres that made the cut; and each portfolio draws one distinct
     movie per genre bucket without replacement.
     """
+    for name, flag, value in (("num_arms", "--k", num_arms), ("num_attributes", "--m", num_attributes)):
+        if value < 1:
+            raise ValueError(f"{name} ({flag}) must be at least 1, got {value}")
     eligible = sorted(
         m for m in corpus.movies if corpus.rating_count(m) >= min_ratings
     )

@@ -526,6 +526,16 @@ def test_ingest_rejects_a_malformed_portfolio_document(tmp_path, capsys, doc, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--k", "num_arms"), ("--m", "num_attributes")])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_ingest_rejects_a_count_below_one(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "instance.json"
+    code = main([*_two_movie_corpus(tmp_path), "--min-ratings", "5", flag, value, "--out", str(out)])
+    assert code == 2
+    assert f"{field} ({flag}) must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_errors(tmp_path):
     assert main(["hardness", str(tmp_path / "nope.json")]) != 0
 

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fcsr.algorithms import apt_phase, sample_until_feasible, uniform_phase
+from fcsr.algorithms import ALGORITHM_IDS, _decisions, apt_phase, sample_until_feasible, uniform_phase
 from fcsr.core import (
     BanditInstance,
     Bernoulli,
@@ -15,10 +17,12 @@ from fcsr.core import (
     Gaussian,
     RngStream,
     StatsState,
+    _State,
+    _stream_generators,
     oracle,
     score,
 )
-from fcsr.harness import build_synthetic
+from fcsr.harness import build_synthetic, trial_stream_id
 from fcsr.movielens import table1_surrogate_instance
 
 
@@ -148,6 +152,88 @@ def test_rng_stream_reproducible():
     other = RngStream(42, 8).generator().normal(size=10)
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other)
+
+
+def _assert_same_stream(gen, seed, stream_id):
+    """``gen`` is at the start of stream (seed, stream_id): the state and the
+    first 8 draws of ``RngStream.generator()`` and of numpy's own seeding."""
+    entropy = (seed % 2**64, stream_id % 2**64)
+    numpy_gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    reference = RngStream(seed, stream_id).generator()
+    assert gen.bit_generator.state == reference.bit_generator.state == numpy_gen.bit_generator.state
+    draws = gen.random(8)
+    assert np.array_equal(draws, reference.random(8))
+    assert np.array_equal(draws, numpy_gen.random(8))
+
+
+_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -(2**40) - 3, 2**64, 2**64 + 2**32 + 5]
+_BOUNDARY_IDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", _BOUNDARY_SEEDS)
+def test_batch_seeding_equals_numpy_at_the_word_boundaries(seed):
+    ids = _BOUNDARY_IDS + [-1, 2**64, 2**64 + 7, 2**32 + 1, 2**63]
+    for gen, stream_id in zip(_stream_generators(seed, ids), ids, strict=True):
+        _assert_same_stream(gen, seed, stream_id)
+
+
+@pytest.mark.parametrize("size", [1, 7, 20, 256])
+def test_batch_seeding_equals_numpy_at_each_batch_size(size):
+    ids = [trial_stream_id("us", 10000, t) for t in range(size)]
+    for seed in (0, 11, 2**64 - 1):
+        for gen, stream_id in zip(_stream_generators(seed, ids), ids, strict=True):
+            _assert_same_stream(gen, seed, stream_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**70), 2**70), st.sampled_from(_BOUNDARY_SEEDS)),
+    ids=st.lists(
+        st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.sampled_from(_BOUNDARY_IDS)),
+        min_size=1, max_size=12,
+    ),
+)
+def test_batch_seeding_equals_numpy(seed, ids):
+    for gen, stream_id in zip(_stream_generators(seed, ids), ids, strict=True):
+        _assert_same_stream(gen, seed, stream_id)
+
+
+def test_batch_seeding_of_no_streams():
+    assert _stream_generators(5, []) == []
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (3, np.uint64)])
+def test_precomputed_state_serves_only_four_uint64_words(n_words, dtype):
+    # A numpy that seeded PCG64 from another request would get wrong words.
+    words = np.arange(4, dtype=np.uint64)
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        _State(words).generate_state(n_words, dtype)
+    assert _State(words).generate_state(4, np.uint64) is words
+
+
+def _small_empirical_instance():
+    """3 arms of 2 Empirical attributes; arm a's values are those of arm 0
+    raised by 0.05 a."""
+    ratings = [(0.2, 0.9, 0.7), (0.4, 0.8)]
+    rows = tuple(
+        tuple(Empirical(tuple(min(1.0, v + 0.05 * arm) for v in values)) for values in ratings)
+        for arm in range(3)
+    )
+    return BanditInstance(arms=rows, threshold=0.5)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_IDS)
+@pytest.mark.parametrize("which", ["combined", "empirical"])
+def test_decisions_over_batch_seeding_equal_the_per_trial_streams(algorithm, which):
+    if which == "combined":
+        instance, budget = build_synthetic("combined"), 400
+    else:
+        instance, budget = _small_empirical_instance(), 60
+    ids = [trial_stream_id(algorithm, budget, t) for t in range(20)]
+    streams = [RngStream(17, i) for i in ids]
+    expected = _decisions(algorithm, instance, budget, streams)
+    assert len(set(expected.tolist())) > 1  # the decisions depend on the draws
+    assert np.array_equal(_decisions(algorithm, instance, budget, _stream_generators(17, ids)), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ pairs the change won, and a verdict against the metric's declared bound:
 
 * ``regressed``: the change's median is worse than the ref's by more than
   the bound;
+* ``gain``: the change won at least 9 in 10 of the pairs (a tie counts for
+  neither side), and its median is better than the ref's by more than the
+  ref's quartile spread, the rule a claimed gain must meet;
 * ``unresolved``: the ref's quartile spread, over its median, exceeds the
   bound, and not every run of the change beats every run of the ref;
 * ``ok``: otherwise.
@@ -55,11 +58,20 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(ref: list[float], new: list[float], higher: bool) -> int:
+    """How many pairs (ref[i], new[i]) the change won."""
+    return sum((b > a) if higher else (b < a) for a, b in zip(ref, new, strict=True))
+
+
 def verdict(ref: list[float], new: list[float], higher: bool, bound: float) -> str:
-    """``regressed``, ``unresolved`` or ``ok``, as the module docstring says."""
+    """``regressed``, ``gain``, ``unresolved`` or ``ok``, as the module
+    docstring says, of the paired runs ``ref[i]`` and ``new[i]``."""
     (r1, r2, r3), c2 = summary(ref), statistics.median(new)
     if (c2 < r2 * (1 - bound)) if higher else (c2 > r2 * (1 + bound)):
         return "regressed"
+    better = c2 - r2 if higher else r2 - c2
+    if 10 * wins(ref, new, higher) >= 9 * len(ref) and better > r3 - r1:
+        return "gain"
     beats_all = min(new) > max(ref) if higher else max(new) < min(ref)
     if (r3 - r1) / r2 > bound and not beats_all:
         return "unresolved"
@@ -98,13 +110,13 @@ def main(argv: list[str] | None = None) -> int:
         ref = [r["metrics"][name]["value"] for r in runs["ref"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         higher = metric["better"] == "higher"
-        wins = sum((b > a) if higher else (b < a) for a, b in zip(ref, new))
+        won = wins(ref, new, higher)
         (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
         ref_col, new_col = f"{r2:.5g} [{r1:.5g}, {r3:.5g}]", f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
         mark = verdict(ref, new, higher, metric["bound"])
         if mark == "regressed":
             regressed.append(name)
-        print(f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f} {wins:>2}/{len(seeds):<3} {mark}")
+        print(f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f} {won:>2}/{len(seeds):<3} {mark}")
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if wrong:
         print(f"runs not correct: {wrong}")
