@@ -176,25 +176,28 @@ class _RunState:
     """Statistics, reward buffers and budget guard of one run.
 
     ``sums``, ``counts`` and ``mu`` hold one row of Python numbers per arm,
-    zeros or a copy of ``stats``. Single pulls pop from a buffer per (arm,
-    attribute) refilled in blocks of ``_CHUNK`` from the run's generator; an
-    arm's buffers are allocated when it first pulls singly. A uniform pass
-    draws the sum of n pulls of each attribute in one shot with the exact
-    law of that sum, one ``draw_sum`` per attribute. Both depend only on the
-    generator and the pull history, so a run is reproducible from its
-    (seed, stream) alone. ``used`` counts pulls, and no pass takes it past
-    ``cap``.
+    zeros or a copy of ``stats``. Single pulls read a buffer per (arm,
+    attribute): ``views[i][j]`` is a memoryview of the float64 array of the
+    last ``draw_many(_CHUNK)`` for (i, j), and ``pos[i][j]`` the position
+    of its next unread value, ``_CHUNK`` when it is empty. A pull that finds
+    its buffer empty refills it with one call on the run's generator. A
+    uniform pass draws the sum of n pulls of each attribute in one shot with
+    the exact law of that sum, one ``draw_sum`` per attribute. Both depend
+    only on the generator and the pull history, so a run is reproducible
+    from its (seed, stream) alone. ``used`` counts pulls, and no pass takes
+    it past ``cap``.
 
     The adaptive thresholding and sample-until-feasible passes pull one
     attribute for a run of steps at a time. The first ``_GALLOP`` pulls of a
-    run go one by one. If the run goes on and at least ``_GALLOP`` pulls of
-    the pass are left, the rest of it is evaluated over the buffered values
-    in numpy blocks (:meth:`_gallop`), with the same draws and bit-equal
-    statistics; a shorter remainder costs less as single pulls than as a
-    block.
+    run go one by one over a slice of the buffer, which ends them early at
+    the buffer's end. If the run goes on past them, the rest of it is
+    evaluated over the buffered values in numpy blocks (:meth:`_gallop`),
+    with the same draws and bit-equal statistics. A run that starts with
+    fewer than ``2 * _GALLOP`` pulls of the pass left takes them one by one
+    up to the buffer's end, as a short remainder costs less that way.
     """
 
-    __slots__ = ("arms", "gen", "bufs", "chunks", "sums", "counts", "mu", "used", "cap")
+    __slots__ = ("arms", "gen", "views", "pos", "sums", "counts", "mu", "used", "cap")
 
     def __init__(
         self, instance: BanditInstance, gen: np.random.Generator, cap: int,
@@ -203,11 +206,8 @@ class _RunState:
         k, m = instance.num_arms, instance.num_attributes
         self.arms, self.gen = instance.arms, gen
         self.used, self.cap = 0, cap
-        # bufs[i][j] holds the unread tail of chunks[i, j], the last block
-        # drawn for (i, j), in reverse order so that a pull is a pop;
-        # bufs[i] is None until arm i first pulls singly (``_arm_bufs``).
-        self.bufs: list[list[list[float]] | None] = [None] * k
-        self.chunks: dict[tuple[int, int], np.ndarray] = {}
+        self.views: list[list[memoryview | None]] = [[None] * m for _ in range(k)]
+        self.pos = [[_CHUNK] * m for _ in range(k)]
         if stats is None:
             self.sums = [[0.0] * m for _ in range(k)]
             self.counts = [[0] * m for _ in range(k)]
@@ -217,25 +217,19 @@ class _RunState:
             self.counts = stats.pull_counts.tolist()
             self.mu = stats.empirical_means.tolist()
 
-    def _arm_bufs(self, i: int) -> list[list[float]]:
-        """Arm ``i``'s single-pull buffers, allocated on first use."""
-        bufs = self.bufs[i]
-        if bufs is None:
-            bufs = self.bufs[i] = [[] for _ in self.sums[i]]
-        return bufs
-
-    def _refill(self, i: int, j: int) -> None:
-        """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer."""
-        chunk = self.arms[i][j].draw_many(_CHUNK, self.gen)
-        self.chunks[i, j] = chunk
-        self.bufs[i][j].extend(chunk[::-1].tolist())
+    def _refill(self, i: int, j: int) -> memoryview:
+        """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer
+        and return its view; the caller reads on from position 0."""
+        view = self.views[i][j] = memoryview(self.arms[i][j].draw_many(_CHUNK, self.gen))
+        return view
 
     def _gallop(
-        self, i: int, j: int, n: int, s: float, c: int,
+        self, i: int, j: int, p: int, n: int, s: float, c: int,
         stay: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> tuple[int, float, int, float]:
+    ) -> tuple[int, int, float, int, float]:
         """The rest of a run of at most ``n`` pulls on attribute (i, j), whose
-        running sum and count are ``s`` and ``c``, one buffer at a time.
+        running sum and count are ``s`` and ``c``, one buffer at a time from
+        read position ``p``.
 
         ``stay(counts, means)`` marks the pulls after which the run goes on;
         the run ends after the first pull it does not mark. A buffer is
@@ -243,19 +237,19 @@ class _RunState:
         single pull would do, so the generator sees the same calls. The
         running sums come from ``np.cumsum`` over ``[s, x1, ..., xk]``, which
         adds in the order of ``s += x``, so every statistic is bit-equal to
-        pulling one at a time. Returns (pulls, sum, count, mean) at the end.
+        pulling one at a time. Returns (pulls, read position, sum, count,
+        mean) at the end.
         """
-        buf = self.bufs[i][j]
+        view = self.views[i][j]
         done = 0
         while True:
-            if not buf:
-                self._refill(i, j)
-            chunk = self.chunks[i, j]
-            start = len(chunk) - len(buf)
-            k = min(n - done, len(buf))
+            if p == _CHUNK:
+                view = self._refill(i, j)
+                p = 0
+            k = min(n - done, _CHUNK - p)
             run = np.empty(k + 1)
             run[0] = s
-            run[1:] = chunk[start:start + k]
+            run[1:] = view.obj[p:p + k]  # the view's float64 array
             sums = np.cumsum(run)[1:]
             counts = np.arange(c + 1, c + k + 1, dtype=np.float64)
             means = sums / counts
@@ -264,11 +258,11 @@ class _RunState:
             ended = not ok[last]
             if ended:
                 k = last + 1
-            del buf[-k:]
+            p += k
             done += k
             s, c, est = float(sums[k - 1]), c + k, float(means[k - 1])
             if ended or done == n:
-                return done, s, c, est
+                return done, p, s, c, est
 
     def uniform(self, i: int, budget: int) -> int:
         """floor(budget / M) pulls of each attribute of arm ``i``, in index
@@ -301,16 +295,18 @@ class _RunState:
 
         Only the pulled attribute's score changes, so the pick stays the same
         while its score is below ``lo``, the lowest score before it, and at
-        most ``hi``, the lowest score after it; one scan finds the pick and
-        both bounds, and the run of pulls on it needs no further scan.
+        most ``hi``, the lowest score after it: while it is below ``bound``.
+        One scan finds the pick and the bound, and the run of pulls on it
+        needs no further scan.
         """
         limit = self.cap - self.used
         steps = budget if budget <= limit else limit
         if steps <= 0:
             return 0
-        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self._arm_bufs(i)
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        views, pos = self.views[i], self.pos[i]
         m = len(sums)
-        sqrt = math.sqrt
+        sqrt, nextafter = math.sqrt, math.nextafter
         inf = math.inf
         scores = [sqrt(counts[j]) * abs(mu[j] - threshold) for j in range(m)]
         inner = range(1, m)
@@ -328,27 +324,32 @@ class _RunState:
                     j = t
                 elif v < hi:
                     hi = v
-            s, c, buf = sums[j], counts[j], bufs[j]
-            for _ in range(_GALLOP if left >= 2 * _GALLOP else left):
-                if not buf:
-                    self._refill(i, j)
-                s += buf.pop()
+            # min(lo, nextafter(hi, inf)): sc < bound is sc < lo and sc <= hi.
+            bound = lo if lo <= hi else nextafter(hi, inf)
+            s, c, view, p = sums[j], counts[j], views[j], pos[j]
+            if p == _CHUNK:  # the run's first pull finds the buffer empty
+                view, p = self._refill(i, j), 0
+            singles = _GALLOP if left >= 2 * _GALLOP else left
+            sc = best  # below the bound: the run goes on until a pull's score is not
+            for x in view[p:p + singles]:
+                s += x
                 c += 1
                 est = s / c
                 d = est - threshold
-                left -= 1
                 sc = sqrt(c) * (d if d >= 0.0 else -d)
-                if not (sc < lo and sc <= hi):
+                if not sc < bound:
                     break
-            else:  # every pull stayed on j
-                if left:
-                    def stay(cs: np.ndarray, ms: np.ndarray) -> np.ndarray:
-                        ss = np.sqrt(cs) * np.abs(ms - threshold)
-                        return (ss < lo) & (ss <= hi)
+            pulls = c - counts[j]
+            p += pulls
+            left -= pulls
+            if sc < bound and left:
+                def stay(cs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+                    return np.sqrt(cs) * np.abs(ms - threshold) < bound
 
-                    pulls, s, c, est = self._gallop(i, j, left, s, c, stay)
-                    left -= pulls
-                    sc = sqrt(c) * abs(est - threshold)
+                pulls, p, s, c, est = self._gallop(i, j, p, left, s, c, stay)
+                left -= pulls
+                sc = sqrt(c) * abs(est - threshold)
+            pos[j] = p
             sums[j] = s
             counts[j] = c
             mu[j] = est
@@ -366,7 +367,8 @@ class _RunState:
         cap = feasibility_budget if feasibility_budget <= limit else limit
         if cap <= 0:
             return 0
-        sums, counts, mu, bufs = self.sums[i], self.counts[i], self.mu[i], self._arm_bufs(i)
+        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
+        views, pos = self.views[i], self.pos[i]
         m = len(sums)
         used = 0
         while used < cap:
@@ -377,23 +379,27 @@ class _RunState:
                     break
             if j < 0:
                 break
-            s, c, buf = sums[j], counts[j], bufs[j]
+            s, c, view, p = sums[j], counts[j], views[j], pos[j]
+            if p == _CHUNK:  # the run's first pull finds the buffer empty
+                view, p = self._refill(i, j), 0
             left = cap - used
-            for _ in range(_GALLOP if left >= 2 * _GALLOP else left):
-                if not buf:
-                    self._refill(i, j)
-                s += buf.pop()
+            singles = _GALLOP if left >= 2 * _GALLOP else left
+            est = mu[j]  # at or below the threshold until a pull takes it over
+            for x in view[p:p + singles]:
+                s += x
                 c += 1
                 est = s / c
-                used += 1
                 if est > threshold:
                     break
-            else:  # every pull left j at or below the threshold
-                if used < cap:
-                    pulls, s, c, est = self._gallop(
-                        i, j, cap - used, s, c, lambda cs, ms: ms <= threshold
-                    )
-                    used += pulls
+            pulls = c - counts[j]
+            p += pulls
+            used += pulls
+            if est <= threshold and used < cap:
+                pulls, p, s, c, est = self._gallop(
+                    i, j, p, cap - used, s, c, lambda cs, ms: ms <= threshold
+                )
+                used += pulls
+            pos[j] = p
             sums[j] = s
             counts[j] = c
             mu[j] = est

@@ -473,15 +473,18 @@ def _gated_scores(mu: np.ndarray, threshold: float) -> np.ndarray:
     The mean of the row when every entry strictly exceeds the threshold;
     otherwise the smallest entry. The columns are added one by one from
     the left, as Python's ``sum`` adds a row, where ``np.sum`` would add
-    them pairwise. The rounded mean of entries within a few ulps of each
-    other can fall below the smallest of them, and so to the threshold; it
-    is raised to the smallest entry, so that a row that passes the gate
-    always scores above the threshold.
+    them pairwise, and the smallest entry is taken in the same loop. The
+    rounded mean of entries within a few ulps of each other can fall below
+    the smallest of them, and so to the threshold; it is raised to the
+    smallest entry, so that a row that passes the gate always scores above
+    the threshold.
     """
-    lowest = mu.min(axis=-1)
+    lowest = mu[..., 0].copy()
     total = np.zeros(lowest.shape)
     for j in range(mu.shape[-1]):
-        total += mu[..., j]
+        col = mu[..., j]
+        total += col
+        np.minimum(lowest, col, out=lowest)
     mean = total / mu.shape[-1]
     return np.where(lowest > threshold, np.where(mean > lowest, mean, lowest), lowest)
 

@@ -5,10 +5,11 @@ went in numpy blocks and before the baselines ran a batch of trials at once.
 ``apt`` and ``suf`` passes, which are the old loops with one pull per step,
 the single pull ``one`` they use, and its ``uniform`` pass, the old one-arm
 pass with one ``draw_sum`` call per attribute. The loops are verbatim, and
-``one`` differs only in where it finds the arm's buffers. Put in place of
-``fcsr.algorithms._RunState`` (the tests use pytest's ``monkeypatch``), it
-lets the public phase functions and FCSR runs be replayed one pull and one
-cell at a time and compared with the kernels bit for bit.
+``one`` reads the state's buffers by position, as the kernels do. Put in
+place of ``fcsr.algorithms._RunState`` (the tests use pytest's
+``monkeypatch``), it lets the public phase functions and FCSR runs be
+replayed one pull and one cell at a time and compared with the kernels bit
+for bit.
 
 ``REFERENCE_RUNS`` holds the baselines ``us``, ``sr`` and ``etc`` as they ran
 one trial at a time over ``ScalarRunState``, with their ``RunTrace``: ``us``
@@ -88,11 +89,12 @@ class ScalarRunState(_RunState):
         return used
 
     def one(self, i: int, j: int) -> float:
-        buf = self._arm_bufs(i)[j]
-        if not buf:
-            vals = self.arms[i][j].draw_many(_CHUNK, self.gen)
-            buf.extend(vals[::-1].tolist())
-        return buf.pop()
+        p = self.pos[i][j]
+        if p == _CHUNK:
+            self.views[i][j] = memoryview(self.arms[i][j].draw_many(_CHUNK, self.gen))
+            p = 0
+        self.pos[i][j] = p + 1
+        return self.views[i][j][p]
 
     def apt(self, i: int, budget: int, threshold: float) -> int:
         """Adaptive thresholding pulls on arm ``i``: each step samples the

@@ -5,8 +5,9 @@ sample-until-feasible loops as they were before long runs of pulls went in
 numpy blocks. Every case here runs once on the block kernel and once on the
 oracle, from the same generator state, and compares pull counts and
 statistics bit for bit. The budgets cross a ``_CHUNK`` refill, and the
-cases count the blocks they reach, so a change that stops reaching the
-block path fails here rather than passing silently.
+cases count the blocks they reach and the blocks that start with a refill,
+so a change that stops reaching either path fails here rather than passing
+silently.
 """
 
 import numpy as np
@@ -40,13 +41,30 @@ def blocks(monkeypatch):
     ends: list[bool] = []
     gallop = _RunState._gallop
 
-    def counted(self, i, j, n, s, c, stay):
-        out = gallop(self, i, j, n, s, c, stay)
+    def counted(self, i, j, p, n, s, c, stay):
+        out = gallop(self, i, j, p, n, s, c, stay)
         ends.append(out[0] == n)
         return out
 
     monkeypatch.setattr(_RunState, "_gallop", counted)
     return ends
+
+
+@pytest.fixture
+def crossings(monkeypatch):
+    """The pass, "apt" or "suf", of each ``_gallop`` call that starts at the
+    end of its buffer: the run's single pulls used the buffer up, so the
+    block's first value comes from a refill."""
+    passes: list[str] = []
+    gallop = _RunState._gallop
+
+    def counted(self, i, j, p, n, s, c, stay):
+        if p == _CHUNK:
+            passes.append(stay.__qualname__.split(".")[1])
+        return gallop(self, i, j, p, n, s, c, stay)
+
+    monkeypatch.setattr(_RunState, "_gallop", counted)
+    return passes
 
 
 def _both(monkeypatch, run):
@@ -112,28 +130,35 @@ def test_phase_functions_match_scalar_oracle(kind, monkeypatch, blocks):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_fcsr_runs_match_scalar_oracle(kind, monkeypatch, blocks):
+    """Equal traces, and the generator left in the oracle's state, which
+    checks directly that refills keep their order."""
+
+    def run():
+        gen = np.random.default_rng([seed, budget])
+        trace = run_fcsr(instance, budget, gen, feasibility_fraction=0.2, apt_fraction=g)
+        return trace, gen.bit_generator.state
+
     for seed in range(6):
         instance = _random_instance(kind, 100 + seed)
         km = instance.num_arms * instance.num_attributes
         # The schedule's ceilings overshoot floor((1-f)T) by up to K-1, so at
         # small budgets the run-wide guard cuts the last passes short.
         for budget, g in ((km + 1, 0.3), (40 * km + 3, 0.6), (6000, 0.3), (6001, 0.8)):
-            block, scalar = _both(monkeypatch, lambda: run_fcsr(
-                instance, budget, np.random.default_rng([seed, budget]),
-                feasibility_fraction=0.2, apt_fraction=g,
-            ))
+            (block, block_gen), (scalar, scalar_gen) = _both(monkeypatch, run)
             assert block == scalar, f"{kind} seed {seed} T={budget} g={g}"
             assert [[s.hex() for _, s in r] for r in block.per_round_scores] == [
                 [s.hex() for _, s in r] for r in scalar.per_round_scores
             ]
+            assert block_gen == scalar_gen, f"{kind} seed {seed} T={budget} g={g}"
     assert not all(blocks)
 
 
-def _tie_case(seed: int):
-    """APT on Bernoulli(0.5) attributes at threshold 0.5 from unequal counts.
+def _tie_start(seed: int):
+    """Bernoulli(0.5) attributes at threshold 0.5, statistics from unequal
+    counts, and the generator to go on with.
 
     Scores sqrt(c) |k/c - 1/2| = |2k - c| / (2 sqrt(c)) take equal values at
-    different counts (0.5 at c = 4, 16, 36, ...), so a run can reach an
+    different counts (0.5 at c = 4, 16, 36, ...), so an APT run can reach an
     exact tie with another attribute's score inside a block.
     """
     rng = np.random.default_rng([seed, 2])
@@ -145,6 +170,12 @@ def _tie_case(seed: int):
     stats.pull_counts[0] = counts
     stats.reward_sums[0] = sums
     stats.empirical_means[0] = sums / counts
+    return instance, stats, rng
+
+
+def _tie_case(seed: int):
+    """APT from :func:`_tie_start`."""
+    instance, stats, rng = _tie_start(seed)
     pulls = apt_phase(instance, stats, 1, 700, 0.5, rng)
     return pulls, _stats_bytes(stats)
 
@@ -155,6 +186,72 @@ def test_apt_score_ties_match_scalar_oracle(seeds, monkeypatch, blocks):
         block, scalar = _both(monkeypatch, lambda: _tie_case(seed))
         assert block == scalar, f"seed {seed}"
     assert blocks
+
+
+def _low_first_instance(kind: str, seed: int) -> BanditInstance:
+    """K = 2 arms of M in 2..4 attributes at threshold 0.5; attribute 0 of
+    each arm lies well below it, so that SUF stays on it to the end of a
+    pass."""
+    rng = np.random.default_rng([seed, 4])
+    m = int(rng.integers(2, 5))
+
+    def dist(mu):
+        if kind == "gaussian":
+            return Gaussian(mu, float(rng.uniform(0.01, 0.2)))
+        if kind == "bernoulli":
+            return Bernoulli(mu)
+        values = rng.normal(mu, 0.1, size=int(rng.integers(2, 30)))
+        return Empirical(tuple(np.clip(values, 0.0, 1.0).tolist()))
+
+    return BanditInstance(tuple(
+        (dist(0.1),) + tuple(dist(float(rng.uniform(0.45, 0.55))) for _ in range(m - 1))
+        for _ in range(2)
+    ), 0.5)
+
+
+def _long_run_sequence(instance: BanditInstance, seed: int):
+    """SUF and APT passes on each arm of one run state. On an instance from
+    :func:`_low_first_instance`, the first SUF pass stays on attribute 0 and
+    ends 12 values before its buffer's end; the second one's single pulls
+    use those up, and its block goes on from a refill."""
+    gen = np.random.default_rng([seed, 3])
+    state = algorithms._RunState(instance, gen, 10**9)
+    tau = instance.threshold
+    pulls = []
+    for i in range(instance.num_arms):
+        pulls.append(state.suf(i, _CHUNK - 12, tau))
+        pulls.append(state.suf(i, 30, tau))
+        pulls.append(state.apt(i, 3 * _CHUNK, tau))
+        pulls.append(state.suf(i, 3 * _GALLOP, tau))
+    return pulls, state.sums, state.counts, state.mu, gen.bit_generator.state
+
+
+def _tie_sequence(seed: int):
+    """Three APT passes over one run state from :func:`_tie_start`."""
+    instance, stats, rng = _tie_start(seed)
+    state = algorithms._RunState(instance, rng, 10**9, stats)
+    pulls = [state.apt(0, 700, 0.5) for _ in range(3)]
+    return pulls, state.sums, state.counts, state.mu, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_runs_across_a_refill_match_scalar_oracle(kind, monkeypatch, crossings):
+    """Passes on one run state, whose runs start from part-read buffers and
+    whose single pulls run out their buffer; pulls, statistics and generator
+    states stay bit-equal."""
+    for seed in range(8):
+        for instance in (_low_first_instance(kind, seed), _random_instance(kind, seed)):
+            block, scalar = _both(monkeypatch, lambda: _long_run_sequence(instance, seed))
+            assert block == scalar, f"{kind} seed {seed}"
+    assert set(crossings) == {"apt", "suf"}
+
+
+def test_apt_passes_on_one_state_match_scalar_oracle_at_ties(monkeypatch, crossings):
+    """Later passes start from buffers the earlier ones left part-read."""
+    for seed in TIE_SEEDS + tuple(range(20)):
+        block, scalar = _both(monkeypatch, lambda: _tie_sequence(seed))
+        assert block == scalar, f"seed {seed}"
+    assert crossings
 
 
 def test_cumsum_adds_like_sequential_sum():
