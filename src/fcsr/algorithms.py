@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     BanditInstance,
+    Gaussian,
     RngStream,
     StatsState,
     _as_generator,
@@ -491,16 +492,20 @@ def sample_until_feasible(
 # --- Full algorithm runs. ---
 
 
-def _drop_lowest(arms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _drop_lowest(
+    arms: np.ndarray, scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The elimination rule of FCSR and ``sr``: each trial's arms ``arms[n]``
-    and their ``scores[n]`` without its first lowest-scoring arm, and that
-    arm. A row of ``arms`` is in index order, so ties drop the lowest arm."""
-    trials = np.arange(len(arms))
+    and their ``scores[n]`` without its first lowest-scoring arm, that arm,
+    and the mask of the positions kept. A row of ``arms`` is in index order,
+    so ties drop the lowest arm."""
     lost = scores.argmin(axis=1)
-    keep = np.ones(arms.shape, dtype=bool)
-    keep[trials, lost] = False
+    keep = np.arange(arms.shape[1]) != lost[:, None]
     shape = (len(arms), -1)
-    return arms[keep].reshape(shape), scores[keep].reshape(shape), arms[trials, lost]
+    return (
+        arms[keep].reshape(shape), scores[keep].reshape(shape),
+        arms[np.arange(len(arms)), lost], keep,
+    )
 
 
 def _decide(arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -568,7 +573,7 @@ def run_fcsr(
                 phase_pulls["suf"] += pulls
         scores = _gated_scores(np.array(state.mu)[live], tau)
         round_scores.append(tuple(zip([i + 1 for i in active], scores[0].tolist())))
-        live, scores, lost = _drop_lowest(live, scores)
+        live, scores, lost, _ = _drop_lowest(live, scores)
         loser = int(lost[0])
         eliminated.append(loser + 1)
         extra_pool += feas_budget[loser]
@@ -586,75 +591,154 @@ def run_fcsr(
 # --- The baselines, over a batch of trials. ---
 
 
+_NORMALS = 4096  # the most standard normals a Gaussian batch draws ahead, per trial
+
+
 class _Batch:
     """Statistics of N trials of one baseline, run side by side.
 
     A baseline makes only uniform passes, whose pull counts do not depend on
-    the draws, so all trials pull the i-th arm of a pass alike and differ in
-    their draws and so in the arms they pass over. ``sums``, ``counts`` and
-    ``mu`` are (N, K, M); ``used``, each trial's pulls, never passes ``cap``.
-    Trial n draws only from ``gens[n]`` (:meth:`BanditInstance._draw_block_sums`),
-    so its result does not depend on the batch. ``log``, if a list, receives
-    (arms, scores, pulls so far) at each scoring point, to which ``sr`` adds
-    the arms it drops there.
+    the draws. So a run states its stages up front: ``plan`` lists each
+    stage's ``quota`` of pulls per attribute and the number of (arm,
+    attribute) ``cells`` it covers, and each stage's pulls per cell, cut by
+    the budget guard ``cap``, are fixed here once. All trials pull the i-th
+    cell of a stage alike and differ in their draws, and so in the arms
+    they pass over.
+
+    ``arms`` is (N, A): each trial's live arms, or ``etc``'s candidates, in
+    the order its stages pass over them. ``sums``, ``counts`` and ``mu`` are
+    (N, A, M) in the same order, so a stage updates them in place over
+    their first cells; ``sr`` drops arms with :meth:`retain`, and ``etc``
+    picks its candidates with :meth:`reorder`. ``used`` counts each trial's
+    pulls.
+
+    Trial n draws only from ``gens[n]``, so its result does not depend on
+    the batch. On a Gaussian instance (``_sum_law``), the sum of ``take``
+    pulls of a cell of mean m and variance v is ``take*m + sqrt(take*v)*z``:
+    ``Gaussian.draw_sum`` draws ``normal(take*m, sqrt(take*v))``, which
+    numpy computes so from the next standard normal z. A trial's normals
+    for the whole run come from one ``standard_normal`` call, which gives
+    the values and the generator state of one call per stage. Past
+    ``_NORMALS`` normals a trial, whole stages go into further calls, and a
+    stage wider than that is drawn on its own. Other instances draw each
+    stage's block sums with ``BanditInstance._draw_block_sums``.
+
+    ``log``, if a list, receives (arms, scores, pulls so far) at each
+    scoring point, to which ``sr`` adds the arms it drops there.
     """
 
-    def __init__(self, instance: BanditInstance, gens: list, cap: int, log: list | None = None):
-        shape = (len(gens), instance.num_arms, instance.num_attributes)
-        self.instance, self.gens, self.used, self.cap, self.log = instance, gens, 0, cap, log
-        self.rows = np.arange(len(gens))[:, None]
-        self.sums, self.mu = np.zeros(shape), np.zeros(shape)
-        self.counts = np.zeros(shape, dtype=np.int64)
-        self.all = np.broadcast_to(np.arange(shape[1]), shape[:2])
+    def __init__(
+        self, instance: BanditInstance, gens: list, cap: int,
+        plan: list[tuple[int, int]], log: list | None = None,
+    ) -> None:
+        n, k, m = len(gens), instance.num_arms, instance.num_attributes
+        self.instance, self.gens, self.log, self.used = instance, gens, log, 0
+        self.arms = np.tile(np.arange(k), (n, 1))
+        self.sums, self.mu = np.zeros((n, k, m)), np.zeros((n, k, m))
+        self.counts = np.zeros((n, k, m), dtype=np.int64)
+        law = instance._sum_law
+        self.params = law[1] if law is not None and law[0] is Gaussian else None
+        # Each stage's pulls of its first cells, every one positive, and the
+        # run's pulls after it.
+        stages: list[tuple[np.ndarray, int]] = []
+        used = 0
+        for quota, cells in plan:
+            left = cap - used
+            if quota <= 0 or left <= 0:
+                takes = np.zeros(0, dtype=np.int64)
+            elif cells * quota <= left:
+                takes = np.full(cells, quota)
+            else:  # the cap ends the stage inside cell ``whole``
+                whole, rest = divmod(left, quota)
+                takes = np.full(whole + (rest > 0), quota)
+                takes[whole:] = rest
+            used += int(takes.sum())
+            stages.append((takes, used))
+        # Gaussian: before stage s, draw ``width[s]`` normals a trial (0 when
+        # an earlier draw holds stage s's); stage s's start at ``at[s]``.
+        width, at = [0] * len(stages), [0] * len(stages)
+        first = 0
+        for s, (takes, _) in enumerate(stages if self.params is not None else ()):
+            if width[first] + len(takes) > _NORMALS:
+                first = s
+            at[s] = width[first]
+            width[first] += len(takes)
+        self.plan = iter(zip(stages, width, at))
+        self.z: np.ndarray | None = None
 
-    def uniform(self, arms: np.ndarray, quota: int) -> None:
-        """``quota`` pulls of each attribute of the arms ``arms[n]`` of each
-        trial n, arm by arm in the order given and attributes in index order,
-        until the cap; the sum of each (arm, attribute) block is one draw."""
-        cells = arms.shape[1] * self.mu.shape[2]
-        limit = self.cap - self.used
-        if quota <= 0 or limit <= 0:
+    def uniform(self) -> None:
+        """The next stage of the plan: its pulls of each of the first cells of
+        each trial, in order; the sum of each cell's block is one draw."""
+        (takes, self.used), width, at = next(self.plan)
+        n, cells = len(self.gens), len(takes)
+        if width:
+            self.z = np.empty((n, width))
+            for gen, row in zip(self.gens, self.z):
+                gen.standard_normal(out=row)
+        if not cells:
             return
-        takes = np.full(cells, quota)
-        whole = limit // quota
-        if whole < cells:  # the cap ends the pass inside cell ``whole``
-            takes[whole:] = 0
-            takes[whole] = limit - whole * quota
-            cells = whole + 1 if takes[whole] else whole
-        at = (self.rows, arms)
-        sums = self.sums[at]
-        draws = self.instance._draw_block_sums(arms, takes[:cells], self.gens)
-        sums.reshape(len(sums), -1)[:, :cells] += draws
-        counts = self.counts[at] + takes.reshape(arms.shape[1], -1)
-        self.sums[at], self.counts[at] = sums, counts
-        self.mu[at] = sums / np.maximum(counts, 1)
-        self.used += int(takes.sum())
+        if self.params is None:
+            draws = self.instance._draw_block_sums(self.arms, takes, self.gens)
+        else:  # take*m + sqrt(take*v)*z, in place over the (mean, variance) pairs
+            law = np.take(self.params, self.arms, axis=1).reshape(2, n, -1)[:, :, :cells]
+            law *= takes
+            draws, scale = law
+            np.sqrt(scale, out=scale)
+            scale *= self.z[:, at:at + cells]
+            draws += scale
+        sums = self.sums.reshape(n, -1)[:, :cells]
+        counts = self.counts.reshape(n, -1)[:, :cells]
+        sums += draws
+        counts += takes
+        np.divide(sums, counts, out=self.mu.reshape(n, -1)[:, :cells])
 
-    def scores(self, arms: np.ndarray, threshold: float) -> np.ndarray:
-        """(N, A) feasibility-gated scores of the arms ``arms[n]`` of each trial n."""
-        scores = _gated_scores(self.mu[self.rows, arms], threshold)
+    def _keep(self, rows: np.ndarray) -> None:
+        """Keep the rows ``rows`` of the state flattened to N*A rows (one per
+        trial and arm), as many for each trial and in trial order."""
+        n, _, m = self.mu.shape
+        self.arms = self.arms.reshape(-1).take(rows).reshape(n, -1)
+        self.sums = self.sums.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
+        self.counts = self.counts.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
+        self.mu = self.mu.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
+
+    def retain(self, keep: np.ndarray) -> None:
+        """Keep the arms where the (N, A) mask ``keep`` is set, in order; every
+        trial keeps as many."""
+        self._keep(np.flatnonzero(keep))
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Keep the arms at the (N, B) positions ``order``, in that order."""
+        n, a = self.arms.shape
+        self._keep((order + np.arange(0, n * a, a)[:, None]).reshape(-1))
+
+    def scores(self, threshold: float) -> np.ndarray:
+        """(N, A) feasibility-gated scores of each trial's arms."""
+        scores = _gated_scores(self.mu, threshold)
         if self.log is not None:
-            self.log.append((arms, scores, self.used))
+            self.log.append((self.arms, scores, self.used))
         return scores
 
 
 def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_uniform_baseline`, one per generator."""
     tau = _threshold(instance, budget, threshold)
-    batch = _Batch(instance, gens, budget, log)
-    batch.uniform(batch.all, budget // batch.mu[0].size)
-    return _decide(batch.all, batch.scores(batch.all, tau), tau)
+    cells = instance.num_arms * instance.num_attributes
+    batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
+    batch.uniform()
+    return _decide(batch.arms, batch.scores(tau), tau)
 
 
 def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_sr_baseline`."""
     tau = _threshold(instance, budget, threshold)
-    rounds = build_schedule(instance.num_arms, budget).delta
-    batch = _Batch(instance, gens, budget, log)
-    live = batch.all
-    for increment in rounds:
-        batch.uniform(live, increment // instance.num_attributes)
-        live, scores, lost = _drop_lowest(live, batch.scores(live, tau))
+    k, m = instance.num_arms, instance.num_attributes
+    rounds = build_schedule(k, budget).delta
+    plan = [(increment // m, (k - r) * m) for r, increment in enumerate(rounds)]
+    batch = _Batch(instance, gens, budget, plan, log)
+    for _ in rounds:
+        batch.uniform()
+        live, scores, lost, keep = _drop_lowest(batch.arms, batch.scores(tau))
+        batch.retain(keep)
         if log is not None:
             log[-1] += (lost,)
     return _decide(live, scores, tau)
@@ -666,14 +750,17 @@ def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None)
     tau = _threshold(instance, budget, threshold)
     explore = _fraction("explore_fraction", explore_fraction)
     k, m = instance.num_arms, instance.num_attributes
-    batch = _Batch(instance, gens, budget, log)
-    batch.uniform(batch.all, _floor_mul(explore, budget) // (k * m))
-    candidates = np.argsort(-batch.scores(batch.all, tau), axis=1, kind="stable")[:, : min(m, k)]
-    batch.uniform(candidates, (budget - batch.used) // (candidates.shape[1] * m))
-    scores = batch.scores(candidates, tau)
-    order = np.argsort(candidates, axis=1)
+    c = min(m, k)
+    quota = _floor_mul(explore, budget) // (k * m)
+    plan = [(quota, k * m), ((budget - quota * k * m) // (c * m), c * m)]
+    batch = _Batch(instance, gens, budget, plan, log)
+    batch.uniform()
+    batch.reorder(np.argsort(-batch.scores(tau), axis=1, kind="stable")[:, :c])
+    batch.uniform()
+    scores = batch.scores(tau)
+    order = np.argsort(batch.arms, axis=1)
     return _decide(
-        np.take_along_axis(candidates, order, 1), np.take_along_axis(scores, order, 1), tau
+        np.take_along_axis(batch.arms, order, 1), np.take_along_axis(scores, order, 1), tau
     )
 
 

@@ -76,20 +76,6 @@ class Gaussian:
             return 0.0
         return float(gen.normal(n * self.mean, math.sqrt(n * self.variance)))
 
-    @staticmethod
-    def _draw_sums(takes: np.ndarray, params: np.ndarray, gens: list) -> np.ndarray:
-        """Row n: :meth:`draw_sum` of ``takes[c]`` pulls of each attribute c of
-        mean and variance ``params[:, n, c]``, from one ``standard_normal``
-        call on ``gens[n]``. ``normal(loc, scale)`` is ``loc + scale * z``, so
-        with loc and scale computed as ``draw_sum`` does, the values and the
-        generator state equal one ``draw_sum`` per entry in order."""
-        loc = takes * params[0]
-        scale = np.sqrt(takes * params[1])
-        z = np.empty(loc.shape)
-        for gen, row in zip(gens, z):
-            gen.standard_normal(out=row)
-        return loc + scale * z
-
 
 @dataclass(frozen=True)
 class Bernoulli:
@@ -111,13 +97,6 @@ class Bernoulli:
         if n <= 0:
             return 0.0
         return float(gen.binomial(n, self.p))
-
-    @staticmethod
-    def _draw_sums(takes: np.ndarray, params: np.ndarray, gens: list) -> np.ndarray:
-        """Row n: :meth:`draw_sum` of ``takes[c]`` pulls of each attribute c
-        of ``p = params[0, n, c]``, from one ``binomial`` call on ``gens[n]``,
-        with the values of one ``draw_sum`` per entry in order."""
-        return np.array([gen.binomial(takes, p) for gen, p in zip(gens, params[0])], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -335,10 +314,12 @@ class BanditInstance:
     @cached_property
     def _sum_law(self) -> tuple[type, np.ndarray] | None:
         """(family, parameters) when every attribute is Gaussian or every one
-        is Bernoulli, so that ``family._draw_sums`` can draw a trial's block
-        sums in one call; else None. ``parameters[f, i, j]`` is field f (mean
-        and variance, or p) of attribute (i, j). Empirical attributes each
-        have their own support, so theirs stay one ``multinomial`` call each."""
+        is Bernoulli, so that a batch can draw a trial's block sums in one
+        call (Gaussian: ``algorithms._Batch``; Bernoulli:
+        :meth:`_draw_block_sums`); else None. ``parameters[f, i, j]`` is field
+        f (mean and variance, or p) of attribute (i, j). Empirical attributes
+        each have their own support, so theirs stay one ``multinomial`` call
+        each."""
         families = {type(d) for row in self.arms for d in row}
         if families == {Gaussian}:
             fields = ("mean", "variance")
@@ -354,12 +335,12 @@ class BanditInstance:
         of trial n is the sum of ``takes[c]`` pulls of attribute c % M of arm
         ``arms[n, c // M]``, drawn from ``gens[n]`` with the values, and the
         generator state after them, of one ``draw_sum`` per cell in order. A
-        Gaussian or Bernoulli instance makes one call per trial (:attr:`_sum_law`)."""
+        Bernoulli instance makes one call per trial (:attr:`_sum_law`)."""
         n, cells = len(gens), len(takes)
-        if self._sum_law is not None:
-            family, params = self._sum_law
-            per_trial = params[:, arms].reshape(len(params), n, -1)[:, :, :cells]
-            return family._draw_sums(takes, per_trial, gens)
+        law = self._sum_law
+        if law is not None and law[0] is Bernoulli:
+            p = law[1][0, arms].reshape(n, -1)[:, :cells]
+            return np.array([gen.binomial(takes, row) for gen, row in zip(gens, p)], dtype=float)
         m = self.num_attributes
         sums = np.empty((n, cells))
         takes = takes.tolist()

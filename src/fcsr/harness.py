@@ -51,7 +51,11 @@ _TABLE_COLUMNS = (
     "delta_band",
     "bernoulli_ci",
 )
-_MAX_BATCH = 256  # most trials run as one batch; a baseline's batch holds about 5 KB a trial
+# The most trials run as one batch. A baseline's batch holds about 5.3 KB a
+# trial on `combined` (K=10, M=5; `sr`, generators included). On wider
+# instances its pre-drawn normals stay within 32 KB a trial
+# (``algorithms._NORMALS``), unless one stage alone is wider.
+_MAX_BATCH = 256
 
 
 def build_synthetic(
@@ -139,10 +143,20 @@ def trial_stream_id(algorithm: str, budget: int, trial: int) -> int:
     Keyed on (algorithm, budget, trial) so adding algorithms or budgets to
     a sweep never perturbs the randomness of existing cells.
     """
-    digest = hashlib.blake2b(
-        f"{algorithm}|{budget}|{trial}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return _stream_ids(algorithm, budget, (trial,))[0]
+
+
+def _stream_ids(algorithm: str, budget: int, trials) -> list[int]:
+    """The stream id of each of ``trials``: the 8-byte blake2b digest of
+    ``f"{algorithm}|{budget}|{trial}"``, read big-endian. The hash state of
+    the prefix before the trial is computed once and copied for each trial."""
+    prefix = hashlib.blake2b(f"{algorithm}|{budget}|".encode(), digest_size=8)
+    ids = []
+    for trial in trials:
+        h = prefix.copy()
+        h.update(f"{trial}".encode())
+        ids.append(int.from_bytes(h.digest(), "big"))
+    return ids
 
 
 def log_error(accuracy: float) -> float:
@@ -309,7 +323,7 @@ def _count_errors(
     trial_stream_id(algorithm, budget, t))``; the batch's generators are
     seeded in one vectorised pass that equals ``RngStream.generator()`` bit
     for bit."""
-    ids = [trial_stream_id(algorithm, budget, t) for t in range(lo, hi)]
+    ids = _stream_ids(algorithm, budget, range(lo, hi))
     decisions = _decisions(algorithm, instance, budget, _stream_generators(base_seed, ids), **params)
     return int(np.count_nonzero(decisions != best_arm))
 

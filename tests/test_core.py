@@ -119,12 +119,12 @@ def test_draw_sum_degenerate_cases():
 
 
 def test_normal_is_loc_plus_scale_times_standard_normal():
-    """``Gaussian._draw_sums`` draws a trial's block sums as ``loc + scale *
-    standard_normal(cells)`` where ``draw_sum`` calls ``normal(loc, scale)``
-    once per cell. That holds only while numpy computes ``normal`` as
-    ``loc + scale * z`` for the next standard normal z; a numpy that stops
-    doing so fails here, bit for bit and generator state included, for
-    scalar and array calls and for variance 0."""
+    """A Gaussian batch (``algorithms._Batch``) draws a trial's block sums
+    as ``loc + scale * z`` from its standard normals z, where ``draw_sum``
+    calls ``normal(loc, scale)`` once per cell. That holds only while numpy
+    computes ``normal`` as ``loc + scale * z`` for the next standard normal
+    z; a numpy that stops doing so fails here, bit for bit and generator
+    state included, for scalar and array calls and for variance 0."""
     for seed in range(20):
         rng = np.random.default_rng([seed, 1])
         takes = rng.integers(1, 5000, size=7)

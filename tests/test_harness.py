@@ -1,5 +1,6 @@
 """Harness tests: benchmark construction, sweeps, aggregation, bands."""
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -109,6 +110,24 @@ def test_trial_stream_id_distinctness():
         for t in range(50)
     }
     assert len(ids) == 4 * 2 * 50
+
+
+def _whole_string_stream_id(algorithm: str, budget: int, trial: int) -> int:
+    """The stream id as first written: one blake2b of the whole key."""
+    digest = hashlib.blake2b(f"{algorithm}|{budget}|{trial}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def test_stream_ids_from_one_prefix_equal_the_whole_string_hash():
+    """A sweep hashes ``algorithm|budget|`` once and copies it for each trial;
+    every id equals one hash of the whole key, for small and very large
+    trial indices, and ``trial_stream_id`` is the one-trial case."""
+    trials = [*range(3000), 10**6 - 1, 10**6, 2**31 - 1, 2**32, 2**63 - 1, 2**64, 10**40 + 7]
+    for algorithm, budget in (("sr", 10000), ("fcsr", 90000), ("etc", 0), ("us", 10**12)):
+        expected = [_whole_string_stream_id(algorithm, budget, t) for t in trials]
+        assert harness._stream_ids(algorithm, budget, trials) == expected
+        assert harness._stream_ids(algorithm, budget, range(3000)) == expected[:3000]
+        assert [trial_stream_id(algorithm, budget, t) for t in trials[-300:]] == expected[-300:]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ one trial at a time, over ``ScalarRunState``, whose uniform pass makes one
 trials on the engine and each trial on the oracle, from the same generator
 state, and compares pulls, statistics or scores (as ``float.hex``), and the
 generator state after. The generators count the calls made on them, so each
-case also checks that a Gaussian or Bernoulli trial makes one generator call
-per uniform stage.
+case also checks that a Gaussian trial makes one ``standard_normal`` call
+per run (more only past the batch's bound on pre-drawn normals), a
+Bernoulli trial one ``binomial`` call per uniform stage, and any other trial
+one ``draw_sum`` per cell.
 """
 
 from collections import Counter
@@ -17,6 +19,7 @@ import pytest
 
 import fcsr.algorithms as algorithms
 from fcsr.algorithms import (
+    _NORMALS,
     _Batch,
     _decisions,
     build_schedule,
@@ -28,22 +31,26 @@ from fcsr.harness import build_synthetic, trial_stream_id
 from scalar_kernel import REFERENCE_RUNS, ScalarRunState
 
 FAMILIES = ("gaussian", "bernoulli", "mixed", "empirical")
-# The one call a trial of each family makes per uniform stage.
+# The one call a trial of each family makes for a single uniform stage.
 ONE_CALL = {"gaussian": "standard_normal", "bernoulli": "binomial"}
 
 
 class Counted:
-    """A generator that counts the calls made on it, by method name."""
+    """A generator that counts the calls made on it, by method name, and
+    records the size of the ``out`` array of each call given one."""
 
     def __init__(self, gen: np.random.Generator) -> None:
         self.gen = gen
         self.calls: Counter = Counter()
+        self.out_sizes: list[int] = []
 
     def __getattr__(self, name):
         method = getattr(self.gen, name)
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
+            if "out" in kwargs:
+                self.out_sizes.append(kwargs["out"].size)
             return method(*args, **kwargs)
 
         return counted
@@ -73,16 +80,27 @@ def _hexed(table) -> list:
     return [[x.hex() for x in row] for row in table]
 
 
+def _by_arm(batch: _Batch, table: np.ndarray, n: int) -> list:
+    """Trial n's rows of a batch table, which follow its arms ``batch.arms[n]``,
+    as a K-row table in arm order; an arm the batch no longer holds is zeros."""
+    full = np.zeros((batch.instance.num_arms,) + table.shape[2:], dtype=table.dtype)
+    full[batch.arms[n]] = table[n]
+    return full.tolist()
+
+
 def _batch_stage(instance, orders, quota: int, cap: int, seeds):
-    """One uniform pass over the arms ``orders[n]`` of each trial n of a batch;
-    per trial its pulls, statistics as hex, the generator state after it and
-    the calls made on its generator."""
+    """One uniform pass over the arms ``orders[n]`` of each trial n of a batch,
+    which ``reorder`` puts first; per trial its pulls, statistics as hex, the
+    generator state after it and the calls made on its generator."""
     gens = [Counted(np.random.default_rng(seed)) for seed in seeds]
-    batch = _Batch(instance, gens, cap)
-    batch.uniform(np.array(orders), quota)
+    orders = np.array(orders)
+    batch = _Batch(instance, gens, cap, [(quota, orders.shape[1] * instance.num_attributes)])
+    batch.reorder(orders)
+    assert np.array_equal(batch.arms, orders)
+    batch.uniform()
     return [
-        (batch.used, _hexed(batch.sums[n].tolist()), batch.counts[n].tolist(),
-         _hexed(batch.mu[n].tolist()), gen.gen.bit_generator.state)
+        (batch.used, _hexed(_by_arm(batch, batch.sums, n)), _by_arm(batch, batch.counts, n),
+         _hexed(_by_arm(batch, batch.mu, n)), gen.gen.bit_generator.state)
         for n, gen in enumerate(gens)
     ], [gen.calls for gen in gens]
 
@@ -179,14 +197,26 @@ CASES = [
 ]
 
 
+def _expected_run_calls(name: str, algorithm: str, instance, reference: Counter) -> Counter:
+    """The calls a baseline trial makes at T=10000, where every stage pulls:
+    one ``standard_normal`` per run on a Gaussian instance, one ``binomial``
+    per stage on a Bernoulli one, and on a mixed one the calls of the
+    reference run, which makes one ``draw_sum`` per cell."""
+    stages = {"us": 1, "etc": 2, "sr": instance.num_arms - 1}[algorithm]
+    if name == "bernoulli":
+        return Counter({"binomial": stages})
+    if name == "mixed":
+        return reference
+    return Counter({"standard_normal": 1})
+
+
 @pytest.mark.parametrize("name,instance", CASES, ids=[c[0] for c in CASES])
 def test_runs_match_scalar_oracle(name, instance, monkeypatch):
     """The one-trial runs: each baseline, a batch of one, against its
-    reference loop, and FCSR against the one-pull-per-step run state. A
-    baseline makes one generator call per uniform stage, except on the mixed
-    instance, which makes one per cell."""
+    reference loop, and FCSR against the one-pull-per-step run state. Each
+    baseline trial also makes exactly the generator calls of
+    ``_expected_run_calls``."""
     km = instance.num_arms * instance.num_attributes
-    stages = {"us": 1, "etc": 2, "sr": instance.num_arms - 1}
     for algorithm in ("us", "sr", "etc", "fcsr"):
         run, _ = algorithms._RUNS[algorithm]
         for budget in (km - 1, km + 3, 10 * km + 7, 10000):
@@ -199,40 +229,44 @@ def test_runs_match_scalar_oracle(name, instance, monkeypatch):
                 else:
                     scalar = _run_hex(REFERENCE_RUNS[algorithm], instance, budget, seed)
                 assert block == scalar, f"{name} {algorithm} T={budget} seed {seed}"
-        if algorithm in stages:
-            gen = Counted(np.random.default_rng(0))
+        if algorithm in REFERENCE_RUNS:
+            gen, reference = Counted(np.random.default_rng(0)), Counted(np.random.default_rng(0))
             run(instance, 10000, gen)
-            assert (sum(gen.calls.values()) == stages[algorithm]) == (name != "mixed"), algorithm
+            REFERENCE_RUNS[algorithm](instance, 10000, reference)
+            assert gen.gen.bit_generator.state == reference.gen.bit_generator.state
+            expected = _expected_run_calls(name, algorithm, instance, reference.calls)
+            assert gen.calls == expected, (name, algorithm)
 
 
 def test_baselines_reach_the_one_call_path_and_fcsr_one_arm_passes_do_not():
     """On combined (K=10, M=5) at T=10000, each trial of a batch makes one
-    ``standard_normal`` call per uniform stage and no other call: one for
-    ``us``, two for ``etc`` and one per round for ``sr``. FCSR's one-arm
-    passes make none."""
+    ``standard_normal`` call per run and no other call, for ``us``, ``etc``
+    and the nine rounds of ``sr`` alike. FCSR's one-arm passes make none."""
     instance = build_synthetic("combined")
-    expected = {"us": 1, "etc": 2, "sr": 9}
-    for algorithm, calls in expected.items():
+    for algorithm in ("us", "etc", "sr"):
         gens = [Counted(np.random.default_rng(t)) for t in range(3)]
         _decisions(algorithm, instance, 10000, gens)
-        assert [g.calls for g in gens] == [Counter({"standard_normal": calls})] * 3, algorithm
+        assert [g.calls for g in gens] == [Counter({"standard_normal": 1})] * 3, algorithm
     gen = Counted(np.random.default_rng(0))
     run_algorithm("fcsr", instance, 10000, gen)
     assert gen.calls["standard_normal"] == 0 and gen.calls["normal"] > 0
 
 
-def _batch_traces(algorithm, instance, budget, seeds, **params):
+def _batch_traces(algorithm, instance, budget, seeds, gens=None, **params):
     """Each trial's decision, pulls, scores as hex, elimination order and
-    generator state after one batch over generators seeded ``[seed, budget]``."""
+    generator state after one batch over ``gens``, by default generators
+    seeded ``[seed, budget]``."""
     log: list = []
-    gens = [np.random.default_rng([seed, budget]) for seed in seeds]
+    if gens is None:
+        gens = [np.random.default_rng([seed, budget]) for seed in seeds]
     _, batched = algorithms._RUNS[algorithm]
     decisions = batched(instance, budget, gens, log=log, **params)
     traces = []
     for n, decision in enumerate(decisions.tolist()):
         scores = [[(int(a) + 1, s.hex()) for a, s in zip(arms[n], sc[n].tolist())] for arms, sc, *_ in log]
         order = tuple(int(entry[3][n]) + 1 for entry in log if len(entry) == 4)
-        traces.append((decision, log[-1][2], scores, order, gens[n].bit_generator.state))
+        state = getattr(gens[n], "gen", gens[n]).bit_generator.state
+        traces.append((decision, log[-1][2], scores, order, state))
     return traces
 
 
@@ -263,6 +297,29 @@ def test_batches_match_per_trial_reference(family, size):
             assert got == _reference_traces(algorithm, instance, budget, seeds, **params), (
                 f"{family} N={size} {algorithm} T={budget} {params}"
             )
+
+
+def test_normals_past_the_bound_go_in_whole_stages():
+    """``sr`` at K=40, M=20 and T=200000 pulls every cell of each of its 39
+    rounds, 16380 cells a trial, four times the bound on a trial's
+    pre-drawn normals. The normals then come in several ``standard_normal``
+    calls, each of whole rounds and none over the bound, and every trial
+    still equals its reference run, generator state included."""
+    k, m, budget = 40, 20, 200000
+    instance = _instance("gaussian", k, m, 60)
+    quotas = [delta // m for delta in build_schedule(k, budget).delta]
+    widths = [(k - r) * m for r in range(k - 1)]
+    assert min(quotas) > 0 and sum(w * q for w, q in zip(widths, quotas)) <= budget
+    ends = set(np.cumsum(widths).tolist())
+    seeds = range(3)
+    gens = [Counted(np.random.default_rng([seed, budget])) for seed in seeds]
+    got = _batch_traces("sr", instance, budget, seeds, gens=gens)
+    assert got == _reference_traces("sr", instance, budget, seeds)
+    for gen in gens:
+        sizes = gen.out_sizes
+        assert gen.calls == Counter({"standard_normal": len(sizes)}) and len(sizes) > 1
+        assert max(sizes) <= _NORMALS and sum(sizes) == sum(widths) > 3 * _NORMALS
+        assert set(np.cumsum(sizes).tolist()) <= ends
 
 
 def _cut_mid_arm(k: int, m: int, budget: int) -> bool:
