@@ -15,9 +15,9 @@ dedicated per-arm budget. Budgets of eliminated arms are recycled into later
 uniform passes.
 
 All integer budget splits (floors of fractional budgets, the round
-schedule) are computed in exact rational arithmetic: float rounding of
-quantities like ``0.29 * 100`` would otherwise shift single pulls and break
-pinned schedule values.
+schedule) are computed exactly, in integer or rational arithmetic: float
+rounding of quantities like ``0.29 * 100`` would otherwise shift single
+pulls and break pinned schedule values.
 
 An FCSR run is single-threaded over private state, and a baseline runs a
 batch of trials side by side (:class:`_Batch`); runs are embarrassingly
@@ -126,12 +126,27 @@ class ScheduleSpec:
         return sum((k + 1 - r) * d for r, d in enumerate(self.delta, start=1))
 
 
+@functools.lru_cache(maxsize=256)
+def _nbar(num_arms: int) -> tuple[int, int]:
+    """nbar = 1/2 + sum_{k=2}^{K} 1/k as the integers (p, q) of p/q, in
+    lowest terms."""
+    p, q = 1, 2
+    for k in range(2, num_arms + 1):
+        p, q = p * k + q, q * k
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+    return p, q
+
+
 # Memoised: the schedule is pure and frozen, and every trial of a sweep cell
 # asks for the same one. Typed, because 0, 0.0 and Fraction(0) are equal keys
 # and the spec echoes the caller's feasibility_fraction.
 @functools.lru_cache(maxsize=256, typed=True)
 def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0) -> ScheduleSpec:
     """Compute the elimination schedule exactly.
+
+    With nbar = p/q (:func:`_nbar`), n_r = ceil(floor((1-f) T) q / (p (K+1-r)))
+    is a ceiling of integers.
 
     Args:
         num_arms: K >= 2.
@@ -146,14 +161,11 @@ def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0
     f = _exact(feasibility_fraction)
     if not 0 <= f < 1:
         raise ValueError(f"feasibility fraction must lie in [0, 1), got {feasibility_fraction}")
-    sr_budget = _floor_mul(1 - f, budget)
-    nbar = Fraction(1, 2) + sum(Fraction(1, k) for k in range(2, num_arms + 1))
-    cumulative = tuple(
-        math.ceil(Fraction(sr_budget) / (nbar * (num_arms + 1 - r)))
-        for r in range(1, num_arms)
-    )
+    p, q = _nbar(num_arms)
+    top = _floor_mul(1 - f, budget) * q
+    cumulative = tuple(-(-top // (p * j)) for j in range(num_arms, 1, -1))
     delta = tuple(cur - prev for cur, prev in zip(cumulative, (0,) + cumulative[:-1]))
-    return ScheduleSpec(num_arms, budget, feasibility_fraction, float(nbar), cumulative, delta)
+    return ScheduleSpec(num_arms, budget, feasibility_fraction, p / q, cumulative, delta)
 
 
 @dataclass(frozen=True)
@@ -492,20 +504,14 @@ def sample_until_feasible(
 # --- Full algorithm runs. ---
 
 
-def _drop_lowest(
-    arms: np.ndarray, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _drop_lowest(arms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The elimination rule of FCSR and ``sr``: each trial's arms ``arms[n]``
-    and their ``scores[n]`` without its first lowest-scoring arm, that arm,
-    and the mask of the positions kept. A row of ``arms`` is in index order,
-    so ties drop the lowest arm."""
+    and their ``scores[n]`` without its first lowest-scoring arm, and that
+    arm. A row of ``arms`` is in index order, so ties drop the lowest arm."""
     lost = scores.argmin(axis=1)
     keep = np.arange(arms.shape[1]) != lost[:, None]
     shape = (len(arms), -1)
-    return (
-        arms[keep].reshape(shape), scores[keep].reshape(shape),
-        arms[np.arange(len(arms)), lost], keep,
-    )
+    return arms[keep].reshape(shape), scores[keep].reshape(shape), arms[np.arange(len(arms)), lost]
 
 
 def _decide(arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
@@ -571,9 +577,9 @@ def run_fcsr(
                 pulls = state.suf(i, feas_budget[i], tau)
                 feas_budget[i] -= pulls
                 phase_pulls["suf"] += pulls
-        scores = _gated_scores(np.array(state.mu)[live], tau)
+        scores = _gated_scores(np.array(state.mu).T[:, live], tau)
         round_scores.append(tuple(zip([i + 1 for i in active], scores[0].tolist())))
-        live, scores, lost, _ = _drop_lowest(live, scores)
+        live, scores, lost = _drop_lowest(live, scores)
         loser = int(lost[0])
         eliminated.append(loser + 1)
         extra_pool += feas_budget[loser]
@@ -600,28 +606,38 @@ class _Batch:
     A baseline makes only uniform passes, whose pull counts do not depend on
     the draws. So a run states its stages up front: ``plan`` lists each
     stage's ``quota`` of pulls per attribute and the number of (arm,
-    attribute) ``cells`` it covers, and each stage's pulls per cell, cut by
-    the budget guard ``cap``, are fixed here once. All trials pull the i-th
-    cell of a stage alike and differ in their draws, and so in the arms
-    they pass over.
+    attribute) ``cells`` it covers, and each stage's pulls, cut by the
+    budget guard ``cap``, are fixed here once as Python ints ``(quota,
+    whole, rest)``: ``quota`` pulls of each of the first ``whole`` cells,
+    then ``rest`` pulls of the next one. All trials pull the i-th cell of a
+    stage alike and differ in their draws, and so in the arms they pass
+    over.
 
     ``arms`` is (N, A): each trial's live arms, or ``etc``'s candidates, in
-    the order its stages pass over them. ``sums``, ``counts`` and ``mu`` are
-    (N, A, M) in the same order, so a stage updates them in place over
-    their first cells; ``sr`` drops arms with :meth:`retain`, and ``etc``
-    picks its candidates with :meth:`reorder`. ``used`` counts each trial's
+    the order its stages pass over them. ``sums`` is (N, A, M) in the same
+    order, so a stage adds to it in place over its first cells; ``sr``
+    drops arms with :meth:`drop`, and ``etc`` picks its candidates with
+    :meth:`reorder`. ``counts`` is one float row of A*M pull counts that
+    every trial shares, since a position's count depends only on the plan:
+    each stage but a cut one pulls every position of the batch alike, and
+    a stage the cap cuts is the last with pulls, so the row need not follow
+    the arms a later drop or reorder moves. ``mu`` holds the means
+    attribute-major, (M, N, A), as :func:`_gated_scores` reads them, and a
+    stage with pulls recomputes all of them. ``used`` counts each trial's
     pulls.
 
     Trial n draws only from ``gens[n]``, so its result does not depend on
     the batch. On a Gaussian instance (``_sum_law``), the sum of ``take``
     pulls of a cell of mean m and variance v is ``take*m + sqrt(take*v)*z``:
     ``Gaussian.draw_sum`` draws ``normal(take*m, sqrt(take*v))``, which
-    numpy computes so from the next standard normal z. A trial's normals
-    for the whole run come from one ``standard_normal`` call, which gives
-    the values and the generator state of one call per stage. Past
-    ``_NORMALS`` normals a trial, whole stages go into further calls, and a
-    stage wider than that is drawn on its own. Other instances draw each
-    stage's block sums with ``BanditInstance._draw_block_sums``.
+    numpy computes so from the next standard normal z. A stage computes
+    the (take*m, sqrt(take*v)) table of the K x M attributes once per take
+    and gathers it by arm. A trial's normals for the whole run come from
+    one ``standard_normal`` call, which gives the values and the generator
+    state of one call per stage. Past ``_NORMALS`` normals a trial, whole
+    stages go into further calls, and a stage wider than that is drawn on
+    its own. Other instances draw each stage's block sums with
+    ``BanditInstance._draw_block_sums``.
 
     ``log``, if a list, receives (arms, scores, pulls so far) at each
     scoring point, to which ``sr`` adds the arms it drops there.
@@ -634,77 +650,87 @@ class _Batch:
         n, k, m = len(gens), instance.num_arms, instance.num_attributes
         self.instance, self.gens, self.log, self.used = instance, gens, log, 0
         self.arms = np.tile(np.arange(k), (n, 1))
-        self.sums, self.mu = np.zeros((n, k, m)), np.zeros((n, k, m))
-        self.counts = np.zeros((n, k, m), dtype=np.int64)
+        self.sums, self.mu = np.zeros((n, k, m)), np.zeros((m, n, k))
+        self.counts = np.zeros(k * m)
         law = instance._sum_law
         self.params = law[1] if law is not None and law[0] is Gaussian else None
-        # Each stage's pulls of its first cells, every one positive, and the
-        # run's pulls after it.
-        stages: list[tuple[np.ndarray, int]] = []
+        # Each stage's (quota, whole, rest) and the run's pulls after it.
+        stages: list[tuple[tuple[int, int, int], int]] = []
         used = 0
         for quota, cells in plan:
             left = cap - used
             if quota <= 0 or left <= 0:
-                takes = np.zeros(0, dtype=np.int64)
+                pulls = (0, 0, 0)
             elif cells * quota <= left:
-                takes = np.full(cells, quota)
+                pulls = (quota, cells, 0)
             else:  # the cap ends the stage inside cell ``whole``
-                whole, rest = divmod(left, quota)
-                takes = np.full(whole + (rest > 0), quota)
-                takes[whole:] = rest
-            used += int(takes.sum())
-            stages.append((takes, used))
+                pulls = (quota, *divmod(left, quota))
+            used += pulls[0] * pulls[1] + pulls[2]
+            stages.append((pulls, used))
         # Gaussian: before stage s, draw ``width[s]`` normals a trial (0 when
         # an earlier draw holds stage s's); stage s's start at ``at[s]``.
         width, at = [0] * len(stages), [0] * len(stages)
         first = 0
-        for s, (takes, _) in enumerate(stages if self.params is not None else ()):
-            if width[first] + len(takes) > _NORMALS:
+        for s, ((_, whole, rest), _) in enumerate(stages if self.params is not None else ()):
+            cells = whole + (rest > 0)
+            if width[first] + cells > _NORMALS:
                 first = s
             at[s] = width[first]
-            width[first] += len(takes)
+            width[first] += cells
         self.plan = iter(zip(stages, width, at))
         self.z: np.ndarray | None = None
+
+    def _gaussian_sums(self, take: int, lo: int, hi: int, z: np.ndarray) -> np.ndarray:
+        """(N, hi - lo) sums of ``take`` pulls of cells lo..hi-1 of each
+        trial, from the normals ``z`` of the stage's cells."""
+        table = self.params * take  # (take*m, take*v) of every attribute
+        np.sqrt(table[1], out=table[1])
+        loc, scale = np.take(table, self.arms, axis=1).reshape(2, len(self.gens), -1)[:, :, lo:hi]
+        scale *= z[:, lo:hi]
+        scale += loc
+        return scale
 
     def uniform(self) -> None:
         """The next stage of the plan: its pulls of each of the first cells of
         each trial, in order; the sum of each cell's block is one draw."""
-        (takes, self.used), width, at = next(self.plan)
-        n, cells = len(self.gens), len(takes)
+        ((quota, whole, rest), self.used), width, at = next(self.plan)
+        n, cells = len(self.gens), whole + (rest > 0)
         if width:
             self.z = np.empty((n, width))
             for gen, row in zip(self.gens, self.z):
                 gen.standard_normal(out=row)
         if not cells:
             return
-        if self.params is None:
-            draws = self.instance._draw_block_sums(self.arms, takes, self.gens)
-        else:  # take*m + sqrt(take*v)*z, in place over the (mean, variance) pairs
-            law = np.take(self.params, self.arms, axis=1).reshape(2, n, -1)[:, :, :cells]
-            law *= takes
-            draws, scale = law
-            np.sqrt(scale, out=scale)
-            scale *= self.z[:, at:at + cells]
-            draws += scale
         sums = self.sums.reshape(n, -1)[:, :cells]
-        counts = self.counts.reshape(n, -1)[:, :cells]
-        sums += draws
-        counts += takes
-        np.divide(sums, counts, out=self.mu.reshape(n, -1)[:, :cells])
+        if self.params is None:
+            takes = np.full(cells, quota)
+            takes[whole:] = rest
+            sums += self.instance._draw_block_sums(self.arms, takes, self.gens)
+        else:  # one table per take: ``quota`` of the whole cells, ``rest`` of a cut one
+            z = self.z[:, at:at + cells]
+            for take, lo, hi in ((quota, 0, whole), (rest, whole, cells)):
+                if lo < hi:
+                    sums[:, lo:hi] += self._gaussian_sums(take, lo, hi, z)
+        self.counts[:whole] += quota
+        self.counts[whole:cells] += rest
+        # Every mean again, a count of 0 read as 1: the cells past the stage
+        # keep their sums and counts, and so their means.
+        divisor = np.maximum(self.counts, 1).reshape(-1, self.mu.shape[0]).T[:, None]
+        np.divide(self.sums.transpose(2, 0, 1), divisor, out=self.mu)
 
     def _keep(self, rows: np.ndarray) -> None:
         """Keep the rows ``rows`` of the state flattened to N*A rows (one per
         trial and arm), as many for each trial and in trial order."""
-        n, _, m = self.mu.shape
+        m, n, _ = self.mu.shape
         self.arms = self.arms.reshape(-1).take(rows).reshape(n, -1)
         self.sums = self.sums.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
-        self.counts = self.counts.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
-        self.mu = self.mu.reshape(-1, m).take(rows, axis=0).reshape(n, -1, m)
+        self.mu = self.mu.reshape(m, -1).take(rows, axis=1).reshape(m, n, -1)
+        self.counts = self.counts[:self.arms.shape[1] * m]
 
-    def retain(self, keep: np.ndarray) -> None:
-        """Keep the arms where the (N, A) mask ``keep`` is set, in order; every
-        trial keeps as many."""
-        self._keep(np.flatnonzero(keep))
+    def drop(self, lost: np.ndarray) -> None:
+        """Drop each trial n's arm at position ``lost[n]``; the rest keep
+        their order."""
+        self._keep(np.flatnonzero(np.arange(self.arms.shape[1]) != lost[:, None]))
 
     def reorder(self, order: np.ndarray) -> None:
         """Keep the arms at the (N, B) positions ``order``, in that order."""
@@ -729,19 +755,24 @@ def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
 
 
 def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_sr_baseline`."""
+    """The decision of each trial of :func:`run_sr_baseline`: the rule of
+    :func:`_drop_lowest`, with each round's arms compacted once, by
+    :meth:`_Batch.drop`."""
     tau = _threshold(instance, budget, threshold)
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
     plan = [(increment // m, (k - r) * m) for r, increment in enumerate(rounds)]
     batch = _Batch(instance, gens, budget, plan, log)
+    trials = np.arange(len(gens))
     for _ in rounds:
         batch.uniform()
-        live, scores, lost, keep = _drop_lowest(batch.arms, batch.scores(tau))
-        batch.retain(keep)
+        scores = batch.scores(tau)
+        lost = scores.argmin(axis=1)
         if log is not None:
-            log[-1] += (lost,)
-    return _decide(live, scores, tau)
+            log[-1] += (batch.arms[trials, lost],)
+        batch.drop(lost)
+    # The survivor holds the other of the last round's two scores.
+    return _decide(batch.arms, scores[trials, 1 - lost][:, None], tau)
 
 
 def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None) -> np.ndarray:

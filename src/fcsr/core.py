@@ -223,7 +223,8 @@ class _State(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # ``PCG64`` hands ``np.uint64`` itself, which needs no ``np.dtype``.
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(
                 f"a precomputed PCG64 state holds 4 uint64 words, not {n_words} {np.dtype(dtype)}"
             )
@@ -449,24 +450,26 @@ class StatsState:
 
 
 def _gated_scores(mu: np.ndarray, threshold: float) -> np.ndarray:
-    """Feasibility-gated score of each row along the last axis of ``mu``.
+    """Feasibility-gated score of each column of ``mu``, whose first axis
+    runs over the attributes: ``mu[j]`` holds attribute j's means.
 
-    The mean of the row when every entry strictly exceeds the threshold;
-    otherwise the smallest entry. The columns are added one by one from
-    the left, as Python's ``sum`` adds a row, where ``np.sum`` would add
-    them pairwise, and the smallest entry is taken in the same loop. The
-    rounded mean of entries within a few ulps of each other can fall below
-    the smallest of them, and so to the threshold; it is raised to the
-    smallest entry, so that a row that passes the gate always scores above
-    the threshold.
+    The mean of the column when every entry strictly exceeds the threshold;
+    otherwise the smallest entry. The rows are added one by one from the
+    top, as Python's ``sum`` adds a sequence, where ``np.sum`` could add
+    them pairwise, and the smallest entry is taken in the same loop; each
+    step is one operation over contiguous rows when ``mu`` is. (A sum that
+    starts from ``mu[0]`` rather than 0 differs only in the sign of a zero
+    total, whose column scores its smallest entry either way.) The rounded
+    mean of entries within a few ulps of each other can fall below the
+    smallest of them, and so to the threshold; it is raised to the
+    smallest entry, so that a column that passes the gate always scores
+    above the threshold.
     """
-    lowest = mu[..., 0].copy()
-    total = np.zeros(lowest.shape)
-    for j in range(mu.shape[-1]):
-        col = mu[..., j]
-        total += col
-        np.minimum(lowest, col, out=lowest)
-    mean = total / mu.shape[-1]
+    lowest = total = mu[0]
+    for row in mu[1:]:
+        total = total + row
+        lowest = np.minimum(lowest, row)
+    mean = total / len(mu)
     return np.where(lowest > threshold, np.where(mean > lowest, mean, lowest), lowest)
 
 

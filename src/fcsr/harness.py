@@ -51,7 +51,7 @@ _TABLE_COLUMNS = (
     "delta_band",
     "bernoulli_ci",
 )
-# The most trials run as one batch. A baseline's batch holds about 5.3 KB a
+# The most trials run as one batch. A baseline's batch holds about 4.8 KB a
 # trial on `combined` (K=10, M=5; `sr`, generators included). On wider
 # instances its pre-drawn normals stay within 32 KB a trial
 # (``algorithms._NORMALS``), unless one stage alone is wider.

@@ -10,8 +10,9 @@ the block sums directly for many independent runs at once.
 It is written from the documented rules, not from the implementation, and
 uses numpy only (nothing from ``fcsr``):
 
-* round schedule (``build_schedule``, f = 0): nbar = 1/2 + sum_{k=2}^K 1/k,
-  n_r = ceil(T / (nbar (K+1-r))), increment delta_r = n_r - n_{r-1};
+* round schedule (``build_schedule``): nbar = 1/2 + sum_{k=2}^K 1/k,
+  n_r = ceil(floor((1-f) T) / (nbar (K+1-r))) with f = 0 for ``sr``,
+  increment delta_r = n_r - n_{r-1};
 * a uniform pass with budget b gives each attribute floor(b / M) pulls;
 * score of an arm: the mean of its empirical attribute means when all of
   them are above the threshold, else the lowest of them;
@@ -44,13 +45,21 @@ MODEL_DRAWS = 400_000
 _PART = 25_000
 
 
-def sr_increments(num_arms: int, budget: int) -> list[int]:
-    """Per-arm budget increments delta_1..delta_{K-1} of the round schedule."""
+def schedule_cumulative(num_arms: int, budget: int, feasibility_fraction: float = 0.0) -> list[int]:
+    """n_1..n_{K-1} of the round schedule with a feasibility reserve f:
+    n_r = ceil(floor((1-f) T) / (nbar (K+1-r))), in exact rationals, with
+    f read from its shortest decimal repr."""
+    f = Fraction(str(feasibility_fraction))
     nbar = Fraction(1, 2) + sum(Fraction(1, k) for k in range(2, num_arms + 1))
-    cumulative = [
-        math.ceil(Fraction(budget) / (nbar * (num_arms + 1 - r)))
+    return [
+        math.ceil(Fraction(math.floor((1 - f) * budget)) / (nbar * (num_arms + 1 - r)))
         for r in range(1, num_arms)
     ]
+
+
+def sr_increments(num_arms: int, budget: int) -> list[int]:
+    """Per-arm budget increments delta_1..delta_{K-1} of the round schedule."""
+    cumulative = schedule_cumulative(num_arms, budget)
     return [cur - prev for cur, prev in zip(cumulative, [0] + cumulative[:-1])]
 
 

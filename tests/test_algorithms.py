@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcsr.algorithms import (
     ALGORITHM_IDS,
@@ -18,6 +20,7 @@ from fcsr.algorithms import (
     uniform_phase,
 )
 from fcsr.core import BanditInstance, Bernoulli, Gaussian, RngStream, StatsState
+from reference_model import schedule_cumulative
 
 # Two arms, deterministic rewards: arm 1 always pays 1, arm 2 always 0.
 SEPARATING = BanditInstance(
@@ -65,6 +68,18 @@ def test_schedule_monotone_and_bounded():
         # Ceilings can overshoot the reserve-adjusted budget, but by < K.
         reserve_adjusted = int((1 - Fraction(str(f))) * budget // 1)
         assert spec.weighted_total() <= reserve_adjusted + (k - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    k=st.integers(2, 64),
+    budget=st.integers(0, 10**9),
+    f=st.sampled_from((0, 0.2, 1 / 3, 0.999)),
+)
+def test_integer_schedule_matches_rational_formula(k, budget, f):
+    """The schedule's integer ceilings equal the exact rational formula."""
+    spec = build_schedule.__wrapped__(k, budget, f)
+    assert list(spec.cumulative) == schedule_cumulative(k, budget, f)
 
 
 def test_schedule_validation():

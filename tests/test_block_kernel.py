@@ -226,6 +226,45 @@ def _long_run_sequence(instance: BanditInstance, seed: int):
     return pulls, state.sums, state.counts, state.mu, gen.bit_generator.state
 
 
+def _stay_instance(kind: str, seed: int) -> BanditInstance:
+    """One arm of one attribute, at a threshold that its empirical mean does
+    not exceed, so that every APT and SUF pass on it runs its whole budget
+    and ends at a known position of the buffer."""
+    rng = np.random.default_rng([seed, 5])
+    if kind == "gaussian":
+        return BanditInstance(((Gaussian(float(rng.uniform(0.3, 0.7)), float(rng.uniform(0.01, 0.2))),),), 100.0)
+    if kind == "bernoulli":
+        return BanditInstance(((Bernoulli(float(rng.uniform(0.2, 0.8))),),), 1.0)
+    values = tuple(rng.uniform(0.0, 1.0, size=int(rng.integers(2, 30))).tolist())
+    return BanditInstance(((Empirical(values),),), max(values) + 1.0)
+
+
+# (pass, pulls) of :func:`_buffer_edge_sequence`, and the read position each
+# leaves: SUF runs that start 3, 2 and 1 values before the buffer's end, and
+# SUF and APT runs whose single pulls stop 1 value before it, so that their
+# block starts there.
+EDGE_PASSES = (
+    ("suf", _CHUNK - 3), ("suf", 1), ("apt", 1), ("suf", 1),
+    ("suf", _CHUNK - _GALLOP - 1), ("suf", 3 * _GALLOP),
+    ("apt", _CHUNK - 3 * _GALLOP), ("apt", 3 * _GALLOP),
+)
+EDGE_POSITIONS = (
+    _CHUNK - 3, _CHUNK - 2, _CHUNK - 1, _CHUNK,
+    _CHUNK - _GALLOP - 1, 2 * _GALLOP - 1, _CHUNK - _GALLOP - 1, 2 * _GALLOP - 1,
+)
+
+
+def _buffer_edge_sequence(instance: BanditInstance, seed: int):
+    """The passes of ``EDGE_PASSES`` on an instance from :func:`_stay_instance`,
+    with the read position after each."""
+    gen = np.random.default_rng([seed, 6])
+    state = algorithms._RunState(instance, gen, 10**9)
+    out = []
+    for name, pulls in EDGE_PASSES:
+        out.append((getattr(state, name)(0, pulls, instance.threshold), state.pos[0][0]))
+    return out, state.sums, state.counts, state.mu, gen.bit_generator.state
+
+
 def _tie_sequence(seed: int):
     """Three APT passes over one run state from :func:`_tie_start`."""
     instance, stats, rng = _tie_start(seed)
@@ -237,12 +276,17 @@ def _tie_sequence(seed: int):
 @pytest.mark.parametrize("kind", KINDS)
 def test_runs_across_a_refill_match_scalar_oracle(kind, monkeypatch, crossings):
     """Passes on one run state, whose runs start from part-read buffers and
-    whose single pulls run out their buffer; pulls, statistics and generator
-    states stay bit-equal."""
+    whose single pulls run out their buffer, and the runs of
+    ``EDGE_PASSES``, which start or go on in a block next to a buffer's end;
+    pulls, statistics and generator states stay bit-equal."""
     for seed in range(8):
         for instance in (_low_first_instance(kind, seed), _random_instance(kind, seed)):
             block, scalar = _both(monkeypatch, lambda: _long_run_sequence(instance, seed))
             assert block == scalar, f"{kind} seed {seed}"
+        instance = _stay_instance(kind, seed)
+        block, scalar = _both(monkeypatch, lambda: _buffer_edge_sequence(instance, seed))
+        assert block == scalar, f"{kind} seed {seed}, runs at a buffer's end"
+        assert block[0] == list(zip([pulls for _, pulls in EDGE_PASSES], EDGE_POSITIONS))
     assert set(crossings) == {"apt", "suf"}
 
 

@@ -98,9 +98,11 @@ def _batch_stage(instance, orders, quota: int, cap: int, seeds):
     batch.reorder(orders)
     assert np.array_equal(batch.arms, orders)
     batch.uniform()
+    # Every trial shares the batch's one row of pull counts, by position.
+    counts = np.broadcast_to(batch.counts.astype(np.int64).reshape(batch.sums.shape[1:]), batch.sums.shape)
     return [
-        (batch.used, _hexed(_by_arm(batch, batch.sums, n)), _by_arm(batch, batch.counts, n),
-         _hexed(_by_arm(batch, batch.mu, n)), gen.gen.bit_generator.state)
+        (batch.used, _hexed(_by_arm(batch, batch.sums, n)), _by_arm(batch, counts, n),
+         _hexed(_by_arm(batch, batch.mu.transpose(1, 2, 0), n)), gen.gen.bit_generator.state)
         for n, gen in enumerate(gens)
     ], [gen.calls for gen in gens]
 
