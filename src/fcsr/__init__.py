@@ -31,7 +31,6 @@ from .core import (
     RngStream,
     StatsState,
     oracle,
-    score,
 )
 from .hardness import (
     ExponentPrediction,
@@ -88,7 +87,6 @@ __all__ = [
     "run_sweep",
     "run_uniform_baseline",
     "sample_until_feasible",
-    "score",
     "trial_stream_id",
     "uniform_phase",
     "weighted_log_error_slope",

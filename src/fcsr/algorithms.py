@@ -504,16 +504,6 @@ def sample_until_feasible(
 # --- Full algorithm runs. ---
 
 
-def _drop_lowest(arms: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The elimination rule of FCSR and ``sr``: each trial's arms ``arms[n]``
-    and their ``scores[n]`` without its first lowest-scoring arm, and that
-    arm. A row of ``arms`` is in index order, so ties drop the lowest arm."""
-    lost = scores.argmin(axis=1)
-    keep = np.arange(arms.shape[1]) != lost[:, None]
-    shape = (len(arms), -1)
-    return arms[keep].reshape(shape), scores[keep].reshape(shape), arms[np.arange(len(arms)), lost]
-
-
 def _decide(arms: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
     """The decision rule of every algorithm: each trial's decision over its
     arms ``arms[n]``, in index order, is the id of the first highest score if
@@ -558,13 +548,12 @@ def run_fcsr(
     feas_budget = [_floor_mul(f / k, budget)] * k
     keep = 1 - g
     extra_pool = 0
-    live = np.arange(k)[None, :]
+    active = list(range(k))
     eliminated: list[int] = []
     round_scores: list[tuple[tuple[int, float], ...]] = []
     phase_pulls = {"uniform": 0, "apt": 0, "suf": 0}
 
     for increment in schedule.delta:
-        active = live[0].tolist()
         share = extra_pool // len(active)
         extra_pool -= share * len(active)
         uniform_budget = _floor_mul(keep, increment) + share
@@ -577,16 +566,17 @@ def run_fcsr(
                 pulls = state.suf(i, feas_budget[i], tau)
                 feas_budget[i] -= pulls
                 phase_pulls["suf"] += pulls
-        scores = _gated_scores(np.array(state.mu).T[:, live], tau)
-        round_scores.append(tuple(zip([i + 1 for i in active], scores[0].tolist())))
-        live, scores, lost = _drop_lowest(live, scores)
-        loser = int(lost[0])
+        scores = _gated_scores(np.array([state.mu[i] for i in active]).T, tau)
+        round_scores.append(tuple(zip([i + 1 for i in active], scores.tolist())))
+        lost = int(scores.argmin())
+        loser = active.pop(lost)
         eliminated.append(loser + 1)
         extra_pool += feas_budget[loser]
         feas_budget[loser] = 0
 
+    # The survivor holds the other of the last round's two scores.
     return RunTrace(
-        decision=int(_decide(live, scores, tau)[0]),
+        decision=int(_decide(np.array([active]), scores[None, [1 - lost]], tau)[0]),
         pulls_total=state.used,
         pulls_by_phase=phase_pulls,
         elimination_order=tuple(eliminated),
@@ -737,7 +727,7 @@ class _Batch:
         n, a = self.arms.shape
         self._keep((order + np.arange(0, n * a, a)[:, None]).reshape(-1))
 
-    def scores(self, threshold: float) -> np.ndarray:
+    def gated_scores(self, threshold: float) -> np.ndarray:
         """(N, A) feasibility-gated scores of each trial's arms."""
         scores = _gated_scores(self.mu, threshold)
         if self.log is not None:
@@ -751,13 +741,13 @@ def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     cells = instance.num_arms * instance.num_attributes
     batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
     batch.uniform()
-    return _decide(batch.arms, batch.scores(tau), tau)
+    return _decide(batch.arms, batch.gated_scores(tau), tau)
 
 
 def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_sr_baseline`: the rule of
-    :func:`_drop_lowest`, with each round's arms compacted once, by
-    :meth:`_Batch.drop`."""
+    """The decision of each trial of :func:`run_sr_baseline`. Each round drops
+    each trial's first lowest score, as :func:`run_fcsr` does, with the
+    round's arms compacted once, by :meth:`_Batch.drop`."""
     tau = _threshold(instance, budget, threshold)
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
@@ -766,7 +756,7 @@ def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     trials = np.arange(len(gens))
     for _ in rounds:
         batch.uniform()
-        scores = batch.scores(tau)
+        scores = batch.gated_scores(tau)
         lost = scores.argmin(axis=1)
         if log is not None:
             log[-1] += (batch.arms[trials, lost],)
@@ -786,9 +776,9 @@ def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None)
     plan = [(quota, k * m), ((budget - quota * k * m) // (c * m), c * m)]
     batch = _Batch(instance, gens, budget, plan, log)
     batch.uniform()
-    batch.reorder(np.argsort(-batch.scores(tau), axis=1, kind="stable")[:, :c])
+    batch.reorder(np.argsort(-batch.gated_scores(tau), axis=1, kind="stable")[:, :c])
     batch.uniform()
-    scores = batch.scores(tau)
+    scores = batch.gated_scores(tau)
     order = np.argsort(batch.arms, axis=1)
     return _decide(
         np.take_along_axis(batch.arms, order, 1), np.take_along_axis(scores, order, 1), tau

@@ -36,7 +36,6 @@ __all__ = [
     "StatsState",
     "RngStream",
     "OracleResult",
-    "score",
     "oracle",
 ]
 
@@ -471,14 +470,3 @@ def _gated_scores(mu: np.ndarray, threshold: float) -> np.ndarray:
         lowest = np.minimum(lowest, row)
     mean = total / len(mu)
     return np.where(lowest > threshold, np.where(mean > lowest, mean, lowest), lowest)
-
-
-def score(stats: StatsState, arm: int, threshold: float) -> float:
-    """Elimination score for an arm.
-
-    The empirical arm mean when every attribute's empirical mean is strictly
-    above the threshold (raised to the minimum if rounding put it below),
-    otherwise the minimum attribute empirical mean. A minimum exactly equal
-    to the threshold counts as infeasible.
-    """
-    return float(_gated_scores(stats.empirical_means[arm - 1], threshold))

@@ -87,11 +87,26 @@ def _keys(doc: dict, valid: tuple, required: tuple, what: str) -> None:
         raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
 
 
+# The keys of each kind of attribute document, all of them required.
+_ATTRIBUTE_KEYS = {
+    "gaussian": ("kind", "mean", "variance"), "bernoulli": ("kind", "p"), "empirical": ("kind", "values"),
+}
+# The keys of instance and arm documents, required ones first.
+_INSTANCE_REQUIRED = ("threshold", "arms")
+_INSTANCE_KEYS = (*_INSTANCE_REQUIRED, "attribute_labels")
+_ARM_REQUIRED = ("attributes",)
+_ARM_KEYS = (*_ARM_REQUIRED, "label")
+
+
 def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistribution:
     """The distribution of one attribute document; a ``ValueError`` names
     the (1-based) arm and attribute it came from."""
     try:
         kind = _typed(data, dict, "the attribute").get("kind")
+        valid = _ATTRIBUTE_KEYS.get(kind) if isinstance(kind, str) else None
+        if valid is None:
+            raise ValueError(f"unknown distribution kind {kind!r}")
+        _keys(data, valid, valid, f"a {kind} attribute")
         if kind == "gaussian":
             return Gaussian(
                 mean=_typed(data["mean"], float, "mean"),
@@ -99,9 +114,7 @@ def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistributio
             )
         if kind == "bernoulli":
             return Bernoulli(p=_typed(data["p"], float, "p"))
-        if kind == "empirical":
-            return Empirical(values=_typed_items(data["values"], float, "values"))
-        raise ValueError(f"unknown distribution kind {kind!r}")
+        return Empirical(values=_typed_items(data["values"], float, "values"))
     except ValueError as exc:
         raise ValueError(f"arm {arm} attribute {attribute}: {exc}") from exc
 
@@ -123,10 +136,16 @@ def instance_to_dict(instance: BanditInstance) -> dict[str, Any]:
 
 
 def instance_from_dict(doc: Any) -> BanditInstance:
-    arm_docs = _typed(_typed(doc, dict, "an instance document")["arms"], list, "arms")
+    """The instance of a parsed instance document. A key that the document,
+    an arm or an attribute does not read is an error, as is a value of the
+    wrong JSON type; the error names the (1-based) arm and attribute."""
+    doc = _typed(doc, dict, "an instance document")
+    _keys(doc, _INSTANCE_KEYS, _INSTANCE_REQUIRED, "instance document")
+    arm_docs = _typed(doc["arms"], list, "arms")
     arms, labels = [], []
     for a, arm in enumerate(arm_docs, start=1):
-        attributes = _typed(_typed(arm, dict, f"arm {a}")["attributes"], list, f"arm {a} attributes")
+        _keys(_typed(arm, dict, f"arm {a}"), _ARM_KEYS, _ARM_REQUIRED, f"arm {a}")
+        attributes = _typed(arm["attributes"], list, f"arm {a} attributes")
         arms.append(tuple(_dist_from_dict(d, a, j) for j, d in enumerate(attributes, start=1)))
         labels.append(_typed(arm.get("label", str(a)), str, f"arm {a} label"))
     attr_labels = doc.get("attribute_labels")

@@ -371,6 +371,25 @@ def test_etc_candidate_set_degenerates_to_all_arms():
     assert len(trace.per_round_scores[1]) == 2
 
 
+def test_exact_ties_drop_and_pick_the_lowest_arm():
+    # Zero-variance draws at the dyadic mean 0.75 make every empirical mean
+    # exactly 0.75, so every score ties: each round drops the lowest live
+    # arm, the survivor is arm 4, and the one-shot rules pick arm 1.
+    instance = BanditInstance(
+        arms=tuple((Gaussian(0.75, 0.0),) * 2 for _ in range(4)), threshold=0.5
+    )
+    for budget in (100, 1001):
+        traces = {name: run_algorithm(name, instance, budget, RngStream(3)) for name in ALGORITHM_IDS}
+        for name in ("fcsr", "sr"):
+            assert traces[name].elimination_order == (1, 2, 3)
+            assert traces[name].decision == 4
+        for name in ("us", "etc"):
+            assert traces[name].decision == 1
+        for trace in traces.values():
+            assert trace.per_round_scores
+            assert all(s == 0.75 for scores in trace.per_round_scores for _, s in scores)
+
+
 def test_run_algorithm_dispatch():
     for name in ("fcsr", "us", "sr", "etc"):
         trace = run_algorithm(name, SEPARATING, 120, RngStream(4))

@@ -310,14 +310,35 @@ def _bad_attributes(doc):
     return doc
 
 
+def _misspelt_label(doc):
+    doc["arms"][0]["lable"] = "first"
+    return doc
+
+
+def _misspelt_attribute_labels(doc):
+    doc["atribute_labels"] = ["x"] * len(doc["arms"][0]["attributes"])
+    return doc
+
+
+def _bernoulli_with_variance(doc):
+    doc["arms"][1]["attributes"][1] = {"kind": "bernoulli", "p": 0.6, "variance": 0.3}
+    return doc
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
         (_bad_mean, "arm 1 attribute 1: mean must be a number, got [1]"),
         (_bad_attributes, "arm 1 attributes must be a JSON array, got {'mean': 0.5}"),
         (lambda doc: [doc], "an instance document must be a JSON object, got [{"),
+        (_misspelt_label, "arm 1 has keys it does not read: ['lable']"),
+        (_misspelt_attribute_labels, "instance document has keys it does not read: ['atribute_labels']"),
+        (
+            _bernoulli_with_variance,
+            "arm 2 attribute 2: a bernoulli attribute has keys it does not read: ['variance']",
+        ),
     ],
-    ids=["mean", "attributes", "top-level-list"],
+    ids=["mean", "attributes", "top-level-list", "arm-label", "attribute-labels", "bernoulli-variance"],
 )
 def test_instance_document_names_a_value_of_the_wrong_type(tmp_path, capsys, spoil, message):
     path = tmp_path / "bad.json"

@@ -17,10 +17,10 @@ from fcsr.core import (
     Gaussian,
     RngStream,
     StatsState,
+    _gated_scores,
     _State,
     _stream_generators,
     oracle,
-    score,
 )
 from fcsr.harness import build_synthetic, trial_stream_id
 from fcsr.movielens import table1_surrogate_instance
@@ -284,25 +284,24 @@ def test_stats_invariants_after_random_updates():
 # ---------------------------------------------------------------------------
 
 
-def _stats_with_means(means):
-    stats = StatsState.zeros(1, len(means))
-    stats.empirical_means[0] = means
-    stats.reward_sums[0] = means
-    stats.pull_counts[0] = 1
-    return stats
+def _score(means, tau):
+    """The gated score of one arm whose attribute means are ``means``: one
+    column of ``_gated_scores``."""
+    (value,) = _gated_scores(np.array(means, dtype=float)[:, None], tau)
+    return float(value)
 
 
 def test_score_feasible_returns_mean():
-    assert score(_stats_with_means([0.8, 0.6]), 1, 0.5) == pytest.approx(0.7)
+    assert _score([0.8, 0.6], 0.5) == pytest.approx(0.7)
 
 
 def test_score_infeasible_returns_min():
-    assert score(_stats_with_means([0.8, 0.4]), 1, 0.5) == 0.4
+    assert _score([0.8, 0.4], 0.5) == 0.4
 
 
 def test_score_boundary_is_infeasible():
     # A minimum exactly at the threshold fails the strict comparison.
-    assert score(_stats_with_means([0.5, 0.9]), 1, 0.5) == 0.5
+    assert _score([0.5, 0.9], 0.5) == 0.5
 
 
 def test_score_of_row_above_threshold_stays_above_it():
@@ -315,9 +314,9 @@ def test_score_of_row_above_threshold_stays_above_it():
         0.10000000000000002,
     ]
     assert sum(row) / len(row) == 0.1
-    feasible = score(_stats_with_means(row), 1, 0.1)
+    feasible = _score(row, 0.1)
     assert feasible == min(row) > 0.1
-    assert feasible > score(_stats_with_means([0.1] + row[1:]), 1, 0.1)
+    assert feasible > _score([0.1] + row[1:], 0.1)
 
 
 def test_score_permutation_behaviour():
@@ -325,9 +324,9 @@ def test_score_permutation_behaviour():
     for _ in range(100):
         means = rng.uniform(0.0, 1.0, size=5)
         tau = float(rng.uniform(0.0, 1.0))
-        base = score(_stats_with_means(means), 1, tau)
+        base = _score(means, tau)
         perm = rng.permutation(means)
-        permuted = score(_stats_with_means(perm), 1, tau)
+        permuted = _score(perm, tau)
         if means.min() > tau:
             assert permuted == pytest.approx(base, rel=1e-12)
         else:
