@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _CHUNK = 512  # single-pull buffer refill size
-_GALLOP = 32  # single pulls of a run before the rest of it goes in numpy blocks
+_GALLOP = 32  # single pulls of an APT run before the rest of it goes in numpy blocks
 
 
 def _exact(x: float | int | Fraction) -> Fraction:
@@ -201,11 +201,13 @@ class _RunState:
     it past ``cap``.
 
     The adaptive thresholding and sample-until-feasible passes pull one
-    attribute for a run of steps at a time. The first ``_GALLOP`` pulls of a
-    run go one by one over a slice of the buffer, which ends them early at
-    the buffer's end. If the run goes on past them, the rest of it is
-    evaluated over the buffered values in numpy blocks (:meth:`_gallop`),
-    with the same draws and bit-equal statistics. A run that starts with
+    attribute for a run of steps at a time, and :meth:`_gallop` evaluates a
+    run over the buffered values in numpy blocks, with the same draws and
+    bit-equal statistics as pulling one at a time. A sample-until-feasible
+    run goes to it whole. An adaptive thresholding run, which is often a
+    few pulls long, first takes up to ``_GALLOP`` pulls one by one over a
+    slice of the buffer, which ends them early at the buffer's end, and
+    only the rest of a longer run goes in blocks; a run that starts with
     fewer than ``2 * _GALLOP`` pulls of the pass left takes them one by one
     up to the buffer's end, as a short remainder costs less that way.
     """
@@ -237,12 +239,11 @@ class _RunState:
         return view
 
     def _gallop(
-        self, i: int, j: int, p: int, n: int, s: float, c: int,
-        stay: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> tuple[int, int, float, int, float]:
-        """The rest of a run of at most ``n`` pulls on attribute (i, j), whose
-        running sum and count are ``s`` and ``c``, one buffer at a time from
-        read position ``p``.
+        self, i: int, j: int, n: int, stay: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> int:
+        """A run of at most ``n`` pulls on attribute (i, j), one buffer at a
+        time from its read position; stores the read position, sum, count and
+        mean it ends with, and returns the pulls made.
 
         ``stay(counts, means)`` marks the pulls after which the run goes on;
         the run ends after the first pull it does not mark. A buffer is
@@ -250,10 +251,10 @@ class _RunState:
         single pull would do, so the generator sees the same calls. The
         running sums come from ``np.cumsum`` over ``[s, x1, ..., xk]``, which
         adds in the order of ``s += x``, so every statistic is bit-equal to
-        pulling one at a time. Returns (pulls, read position, sum, count,
-        mean) at the end.
+        pulling one at a time.
         """
-        view = self.views[i][j]
+        view, p = self.views[i][j], self.pos[i][j]
+        s, c = self.sums[i][j], self.counts[i][j]
         done = 0
         while True:
             if p == _CHUNK:
@@ -273,9 +274,13 @@ class _RunState:
                 k = last + 1
             p += k
             done += k
-            s, c, est = float(sums[k - 1]), c + k, float(means[k - 1])
+            s, c = float(sums[k - 1]), c + k
             if ended or done == n:
-                return done, p, s, c, est
+                self.pos[i][j] = p
+                self.sums[i][j] = s
+                self.counts[i][j] = c
+                self.mu[i][j] = float(means[k - 1])
+                return done
 
     def uniform(self, i: int, budget: int) -> int:
         """floor(budget / M) pulls of each attribute of arm ``i``, in index
@@ -353,19 +358,17 @@ class _RunState:
                 if not sc < bound:
                     break
             pulls = c - counts[j]
-            p += pulls
             left -= pulls
+            pos[j] = p + pulls
+            sums[j] = s
+            counts[j] = c
+            mu[j] = est
             if sc < bound and left:
                 def stay(cs: np.ndarray, ms: np.ndarray) -> np.ndarray:
                     return np.sqrt(cs) * np.abs(ms - threshold) < bound
 
-                pulls, p, s, c, est = self._gallop(i, j, p, left, s, c, stay)
-                left -= pulls
-                sc = sqrt(c) * abs(est - threshold)
-            pos[j] = p
-            sums[j] = s
-            counts[j] = c
-            mu[j] = est
+                left -= self._gallop(i, j, left, stay)
+                sc = sqrt(counts[j]) * abs(mu[j] - threshold)
             scores[j] = sc
         self.used += steps
         return steps
@@ -380,9 +383,12 @@ class _RunState:
         cap = feasibility_budget if feasibility_budget <= limit else limit
         if cap <= 0:
             return 0
-        sums, counts, mu = self.sums[i], self.counts[i], self.mu[i]
-        views, pos = self.views[i], self.pos[i]
-        m = len(sums)
+        mu = self.mu[i]
+        m = len(mu)
+
+        def stay(cs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+            return ms <= threshold
+
         used = 0
         while used < cap:
             j = -1
@@ -392,30 +398,7 @@ class _RunState:
                     break
             if j < 0:
                 break
-            s, c, view, p = sums[j], counts[j], views[j], pos[j]
-            if p == _CHUNK:  # the run's first pull finds the buffer empty
-                view, p = self._refill(i, j), 0
-            left = cap - used
-            singles = _GALLOP if left >= 2 * _GALLOP else left
-            est = mu[j]  # at or below the threshold until a pull takes it over
-            for x in view[p:p + singles]:
-                s += x
-                c += 1
-                est = s / c
-                if est > threshold:
-                    break
-            pulls = c - counts[j]
-            p += pulls
-            used += pulls
-            if est <= threshold and used < cap:
-                pulls, p, s, c, est = self._gallop(
-                    i, j, p, cap - used, s, c, lambda cs, ms: ms <= threshold
-                )
-                used += pulls
-            pos[j] = p
-            sums[j] = s
-            counts[j] = c
-            mu[j] = est
+            used += self._gallop(i, j, cap - used, stay)
         self.used += used
         return used
 
@@ -536,8 +519,7 @@ def run_fcsr(
 
     A global guard truncates any phase that would push total pulls past the
     budget, so ``pulls_total <= budget`` always holds. A budget below K*M
-    is legal and forces the decision from sparse statistics. A pass whose
-    budget is 0 is skipped, since it would make no pulls.
+    is legal and forces the decision from sparse statistics.
     """
     tau = _threshold(instance, budget, threshold)
     f = _fraction("feasibility_fraction", feasibility_fraction)
@@ -560,12 +542,10 @@ def run_fcsr(
         apt_budget = _floor_mul(g, increment)
         for i in active:
             phase_pulls["uniform"] += state.uniform(i, uniform_budget)
-            if apt_budget:
-                phase_pulls["apt"] += state.apt(i, apt_budget, tau)
-            if feas_budget[i]:
-                pulls = state.suf(i, feas_budget[i], tau)
-                feas_budget[i] -= pulls
-                phase_pulls["suf"] += pulls
+            phase_pulls["apt"] += state.apt(i, apt_budget, tau)
+            pulls = state.suf(i, feas_budget[i], tau)
+            feas_budget[i] -= pulls
+            phase_pulls["suf"] += pulls
         scores = _gated_scores(np.array([state.mu[i] for i in active]).T, tau)
         round_scores.append(tuple(zip([i + 1 for i in active], scores.tolist())))
         lost = int(scores.argmin())

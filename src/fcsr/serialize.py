@@ -148,12 +148,14 @@ def instance_from_dict(doc: Any) -> BanditInstance:
         attributes = _typed(arm["attributes"], list, f"arm {a} attributes")
         arms.append(tuple(_dist_from_dict(d, a, j) for j, d in enumerate(attributes, start=1)))
         labels.append(_typed(arm.get("label", str(a)), str, f"arm {a} label"))
-    attr_labels = doc.get("attribute_labels")
     return BanditInstance(
         arms=tuple(arms),
         threshold=_typed(doc["threshold"], float, "threshold"),
         arm_labels=tuple(labels) if any("label" in arm for arm in arm_docs) else None,
-        attribute_labels=_typed_items(attr_labels, str, "attribute_labels") if attr_labels else None,
+        attribute_labels=(
+            _typed_items(doc["attribute_labels"], str, "attribute_labels")
+            if "attribute_labels" in doc else None
+        ),
     )
 
 

@@ -41,9 +41,9 @@ def blocks(monkeypatch):
     ends: list[bool] = []
     gallop = _RunState._gallop
 
-    def counted(self, i, j, p, n, s, c, stay):
-        out = gallop(self, i, j, p, n, s, c, stay)
-        ends.append(out[0] == n)
+    def counted(self, i, j, n, stay):
+        out = gallop(self, i, j, n, stay)
+        ends.append(out == n)
         return out
 
     monkeypatch.setattr(_RunState, "_gallop", counted)
@@ -53,15 +53,15 @@ def blocks(monkeypatch):
 @pytest.fixture
 def crossings(monkeypatch):
     """The pass, "apt" or "suf", of each ``_gallop`` call that starts at the
-    end of its buffer: the run's single pulls used the buffer up, so the
+    end of a buffer it has drawn: earlier pulls used the buffer up, so the
     block's first value comes from a refill."""
     passes: list[str] = []
     gallop = _RunState._gallop
 
-    def counted(self, i, j, p, n, s, c, stay):
-        if p == _CHUNK:
+    def counted(self, i, j, n, stay):
+        if self.pos[i][j] == _CHUNK and self.views[i][j] is not None:
             passes.append(stay.__qualname__.split(".")[1])
-        return gallop(self, i, j, p, n, s, c, stay)
+        return gallop(self, i, j, n, stay)
 
     monkeypatch.setattr(_RunState, "_gallop", counted)
     return passes
@@ -212,8 +212,8 @@ def _low_first_instance(kind: str, seed: int) -> BanditInstance:
 def _long_run_sequence(instance: BanditInstance, seed: int):
     """SUF and APT passes on each arm of one run state. On an instance from
     :func:`_low_first_instance`, the first SUF pass stays on attribute 0 and
-    ends 12 values before its buffer's end; the second one's single pulls
-    use those up, and its block goes on from a refill."""
+    ends 12 values before its buffer's end; the second one's block uses
+    those up and goes on from a refill."""
     gen = np.random.default_rng([seed, 3])
     state = algorithms._RunState(instance, gen, 10**9)
     tau = instance.threshold
@@ -240,9 +240,10 @@ def _stay_instance(kind: str, seed: int) -> BanditInstance:
 
 
 # (pass, pulls) of :func:`_buffer_edge_sequence`, and the read position each
-# leaves: SUF runs that start 3, 2 and 1 values before the buffer's end, and
-# SUF and APT runs whose single pulls stop 1 value before it, so that their
-# block starts there.
+# leaves: runs that start 3, 2 and 1 values before the buffer's end, a SUF
+# run that starts at it and one whose block goes on from a refill, and an
+# APT run whose single pulls stop 1 value before the buffer's end, so that
+# its block starts there.
 EDGE_PASSES = (
     ("suf", _CHUNK - 3), ("suf", 1), ("apt", 1), ("suf", 1),
     ("suf", _CHUNK - _GALLOP - 1), ("suf", 3 * _GALLOP),

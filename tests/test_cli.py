@@ -337,8 +337,14 @@ def _bernoulli_with_variance(doc):
             _bernoulli_with_variance,
             "arm 2 attribute 2: a bernoulli attribute has keys it does not read: ['variance']",
         ),
+        (lambda doc: {**doc, "attribute_labels": ""}, "attribute_labels must be a JSON array, got ''"),
+        (lambda doc: {**doc, "attribute_labels": 0}, "attribute_labels must be a JSON array, got 0"),
+        (lambda doc: {**doc, "attribute_labels": None}, "attribute_labels must be a JSON array, got None"),
     ],
-    ids=["mean", "attributes", "top-level-list", "arm-label", "attribute-labels", "bernoulli-variance"],
+    ids=[
+        "mean", "attributes", "top-level-list", "arm-label", "attribute-labels", "bernoulli-variance",
+        "attribute-labels-empty-string", "attribute-labels-zero", "attribute-labels-null",
+    ],
 )
 def test_instance_document_names_a_value_of_the_wrong_type(tmp_path, capsys, spoil, message):
     path = tmp_path / "bad.json"
