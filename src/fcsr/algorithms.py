@@ -85,16 +85,11 @@ def _fraction(name: str, x: float | Fraction) -> Fraction:
     return _exact(x)
 
 
-def _threshold(instance: BanditInstance, budget: int, threshold: float | None) -> float:
-    """The threshold a run tests against: ``threshold``, or the instance's own
-    when it is None. Also rejects a negative budget, which no run can spend."""
+def _threshold(instance: BanditInstance, budget: int) -> float:
+    """The instance's threshold, once ``budget`` is checked: no run can spend a negative one."""
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if threshold is None:
-        return instance.threshold
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    return threshold
+    return instance.threshold
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ class _RunState:
     """Statistics, reward buffers and budget guard of one run.
 
     ``sums``, ``counts`` and ``mu`` hold one row of Python numbers per arm,
-    zeros or a copy of ``stats``. Single pulls read a buffer per (arm,
+    zeros at the start. Single pulls read a buffer per (arm,
     attribute): ``views[i][j]`` is a memoryview of the float64 array of the
     last ``draw_many(_CHUNK)`` for (i, j), and ``pos[i][j]`` the position
     of its next unread value, ``_CHUNK`` when it is empty. A pull that finds
@@ -214,23 +209,15 @@ class _RunState:
 
     __slots__ = ("arms", "gen", "views", "pos", "sums", "counts", "mu", "used", "cap")
 
-    def __init__(
-        self, instance: BanditInstance, gen: np.random.Generator, cap: int,
-        stats: StatsState | None = None,
-    ) -> None:
+    def __init__(self, instance: BanditInstance, gen: np.random.Generator, cap: int) -> None:
         k, m = instance.num_arms, instance.num_attributes
         self.arms, self.gen = instance.arms, gen
         self.used, self.cap = 0, cap
         self.views: list[list[memoryview | None]] = [[None] * m for _ in range(k)]
         self.pos = [[_CHUNK] * m for _ in range(k)]
-        if stats is None:
-            self.sums = [[0.0] * m for _ in range(k)]
-            self.counts = [[0] * m for _ in range(k)]
-            self.mu = [[0.0] * m for _ in range(k)]
-        else:
-            self.sums = stats.reward_sums.tolist()
-            self.counts = stats.pull_counts.tolist()
-            self.mu = stats.empirical_means.tolist()
+        self.sums = [[0.0] * m for _ in range(k)]
+        self.counts = [[0] * m for _ in range(k)]
+        self.mu = [[0.0] * m for _ in range(k)]
 
     def _refill(self, i: int, j: int) -> memoryview:
         """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer
@@ -411,16 +398,19 @@ def _on_row(
     instance: BanditInstance, stats: StatsState, arm: int, cap: int,
     rng: RngStream | np.random.Generator, method: Callable[..., int], *args,
 ) -> int:
-    """``method(state, arm - 1, *args)`` on a run state that holds ``stats``
-    and has budget guard ``cap``; then stores ``arm``'s row back."""
+    """``method(state, arm - 1, *args)`` on a fresh run state with budget
+    guard ``cap``, with ``arm``'s row of ``stats`` copied in and back."""
     if not 1 <= arm <= stats.num_arms:
         raise IndexError(f"arm {arm} out of range 1..{stats.num_arms}")
     i = arm - 1
-    state = _RunState(instance, _as_generator(rng), cap, stats)
+    state = _RunState(instance, _as_generator(rng), cap)
+    rows = ((state.sums, stats.reward_sums), (state.counts, stats.pull_counts),
+            (state.mu, stats.empirical_means))
+    for row, table in rows:
+        row[i] = table[i].tolist()
     n = method(state, i, *args)
-    stats.reward_sums[i] = state.sums[i]
-    stats.pull_counts[i] = state.counts[i]
-    stats.empirical_means[i] = state.mu[i]
+    for row, table in rows:
+        table[i] = row[i]
     return n
 
 
@@ -501,7 +491,6 @@ def run_fcsr(
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    threshold: float | None = None,
     feasibility_fraction: float = 0.2,
     apt_fraction: float = 0.3,
 ) -> RunTrace:
@@ -515,13 +504,13 @@ def run_fcsr(
     personal feasibility budget floor(f T / K). The lowest-scoring arm is
     dropped (lowest index on score ties) and its unspent feasibility budget
     joins the pool. The survivor is returned if it looks feasible, else 0.
-    ``threshold`` None means the instance's own.
+    Feasibility is judged against ``instance.threshold``.
 
     A global guard truncates any phase that would push total pulls past the
     budget, so ``pulls_total <= budget`` always holds. A budget below K*M
     is legal and forces the decision from sparse statistics.
     """
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     f = _fraction("feasibility_fraction", feasibility_fraction)
     g = _fraction("apt_fraction", apt_fraction)
     k = instance.num_arms
@@ -715,20 +704,20 @@ class _Batch:
         return scores
 
 
-def _us(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
+def _us(instance, budget, gens, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_uniform_baseline`, one per generator."""
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     cells = instance.num_arms * instance.num_attributes
     batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
     batch.uniform()
     return _decide(batch.arms, batch.gated_scores(tau), tau)
 
 
-def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
+def _sr(instance, budget, gens, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_sr_baseline`. Each round drops
     each trial's first lowest score, as :func:`run_fcsr` does, with the
     round's arms compacted once, by :meth:`_Batch.drop`."""
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
     plan = [(increment // m, (k - r) * m) for r, increment in enumerate(rounds)]
@@ -745,10 +734,10 @@ def _sr(instance, budget, gens, threshold=None, log=None) -> np.ndarray:
     return _decide(batch.arms, scores[trials, 1 - lost][:, None], tau)
 
 
-def _etc(instance, budget, gens, threshold=None, explore_fraction=0.5, log=None) -> np.ndarray:
+def _etc(instance, budget, gens, explore_fraction=0.5, log=None) -> np.ndarray:
     """The decision of each trial of :func:`run_etc_baseline`. A stable sort on
     the negated stage-one score ranks the candidates, lower arm first on ties."""
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     explore = _fraction("explore_fraction", explore_fraction)
     k, m = instance.num_arms, instance.num_attributes
     c = min(m, k)
@@ -791,21 +780,19 @@ def run_uniform_baseline(
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    threshold: float | None = None,
 ) -> RunTrace:
     """Split the budget evenly: floor(T / (K*M)) pulls per attribute.
 
     Decides on the empirically feasible arm with the highest empirical arm
     mean (lowest index on ties), or 0 when no arm looks feasible.
     """
-    return _one_trial(_us, ("uniform",), instance, budget, rng, threshold)
+    return _one_trial(_us, ("uniform",), instance, budget, rng)
 
 
 def run_sr_baseline(
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    threshold: float | None = None,
 ) -> RunTrace:
     """Successive rejects with the feasibility-gated score.
 
@@ -816,14 +803,13 @@ def run_sr_baseline(
     This is FCSR's loop with the adaptive thresholding and
     sample-until-feasible budgets at 0.
     """
-    return _one_trial(_sr, ("uniform",), instance, budget, rng, threshold)
+    return _one_trial(_sr, ("uniform",), instance, budget, rng)
 
 
 def run_etc_baseline(
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    threshold: float | None = None,
     explore_fraction: float = 0.5,
 ) -> RunTrace:
     """Two-stage explore-then-commit.
@@ -834,7 +820,7 @@ def run_etc_baseline(
     candidates' attributes. The highest-scoring candidate is returned if it
     looks feasible, else 0.
     """
-    return _one_trial(_etc, ("explore", "commit"), instance, budget, rng, threshold, explore_fraction)
+    return _one_trial(_etc, ("explore", "commit"), instance, budget, rng, explore_fraction)
 
 
 def _fcsr(instance, budget, gens, **params) -> np.ndarray:
@@ -858,10 +844,10 @@ ALGORITHM_PARAMS = {
 }
 
 
-def _check_params(name: str, params: dict[str, float | None]) -> None:
+def _check_params(name: str, params: dict[str, float]) -> None:
     """Raise ValueError naming an unknown algorithm, each key of ``params``
     that the algorithm does not read, or a key whose value is not a real
-    number (a bool is not one; ``threshold`` may also be None)."""
+    number (a bool is not one) in (0, 1): every run keyword is a fraction."""
     if name not in _RUNS:
         raise ValueError(
             f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
@@ -872,9 +858,9 @@ def _check_params(name: str, params: dict[str, float | None]) -> None:
             f"algorithm {name!r} does not read {unread}; it reads {list(ALGORITHM_PARAMS[name])}"
         )
     for key, value in params.items():
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (number or key == "threshold" and value is None):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ValueError(f"algorithm {name!r}: {key} must be a real number, got {value!r}")
+        _fraction(key, value)
 
 
 def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence, **params):
@@ -889,13 +875,14 @@ def run_algorithm(
     instance: BanditInstance,
     budget: int,
     rng: RngStream | np.random.Generator,
-    **params: float | None,
+    **params: float,
 ) -> RunTrace:
     """Run algorithm ``name`` with the keywords ``params``.
 
     Identifiers: "fcsr", "us" (uniform), "sr" (successive rejects),
-    "etc" (explore-then-commit); ``ALGORITHM_PARAMS`` lists the keywords
-    each one reads, and any other keyword is an error.
+    "etc" (explore-then-commit). Every run tests feasibility against
+    ``instance.threshold``. ``ALGORITHM_PARAMS`` lists the keywords each one
+    reads, each a fraction in (0, 1), and any other keyword is an error.
     """
     _check_params(name, params)
     return _RUNS[name][0](instance, budget, rng, **params)

@@ -14,6 +14,7 @@ errors (per-cell sweep failures are recorded in the output instead).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -55,7 +56,6 @@ _RUN_FLAGS = (
     ("--f", "feasibility_fraction", "feasibility budget fraction (fcsr)"),
     ("--g", "apt_fraction", "adaptive thresholding fraction (fcsr)"),
     ("--explore-fraction", "explore_fraction", "stage-one fraction (etc)"),
-    ("--tau", "threshold", "threshold override"),
 )
 
 
@@ -134,19 +134,20 @@ def _cmd_hardness(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
+    if args.tau is not None:
+        instance = dataclasses.replace(instance, threshold=args.tau)
     seed = _pick_seed(args.seed)
     # Only the flags given: one the algorithm does not read is an error.
     params = {key: getattr(args, key) for _, key, _ in _RUN_FLAGS if key in args}
     trace = run_algorithm(args.algorithm, instance, args.budget, RngStream(seed), **params)
     doc = trace_to_dict(trace)
-    doc["algorithm"] = args.algorithm
-    doc["budget"] = args.budget
-    doc["seed"] = seed
+    doc.update(algorithm=args.algorithm, budget=args.budget, seed=seed, threshold=instance.threshold)
     if args.pretty:
         label = (
             instance.label_of(trace.decision) if trace.decision else "none (flag 0)"
         )
         print(f"decision: {trace.decision} ({label})")
+        print(f"threshold: {instance.threshold}")
         print(f"pulls: {trace.pulls_total} of {args.budget}")
         for phase, pulls in trace.pulls_by_phase.items():
             print(f"  {phase}: {pulls}")
@@ -250,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     for flag, key, help_text in _RUN_FLAGS:
         run.add_argument(flag, dest=key, type=float, default=argparse.SUPPRESS, help=help_text)
+    run.add_argument("--tau", type=float, help="threshold in place of the instance's own")
     run.add_argument("--pretty", action="store_true", help="human-readable output")
     run.set_defaults(handler=_cmd_run)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any
@@ -187,6 +188,13 @@ def confidence_bands(accuracy: float, trials: int) -> tuple[float, float]:
     return delta, bernoulli
 
 
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int; a ValueError naming ``name`` when it is no integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: an instance crossed with algorithms and budgets.
@@ -194,14 +202,15 @@ class SweepConfig:
     Args:
         instance: the resolved bandit instance.
         algorithms: stable identifiers from ``ALGORITHM_IDS``.
-        budgets: strictly increasing pull budgets.
-        trials: Monte-Carlo trials per cell (N).
-        base_seed: root seed; trial t of cell (alg, T) uses stream
-            (base_seed, hash(alg, T, t)).
-        params: optional per-algorithm keyword overrides, each a real
-            number, for algorithms the sweep runs, e.g.
+        budgets: strictly increasing pull budgets, integers (not bools).
+        trials: Monte-Carlo trials per cell (N), an integer.
+        base_seed: root seed, an integer; trial t of cell (alg, T) uses
+            stream (base_seed, hash(alg, T, t)).
+        params: optional per-algorithm keyword overrides, each a fraction
+            in (0, 1), for algorithms the sweep runs, e.g.
             {"fcsr": {"feasibility_fraction": 0.2, "apt_fraction": 0.3},
-             "etc": {"explore_fraction": 0.5}}.
+             "etc": {"explore_fraction": 0.5}}; ``us`` and ``sr`` read none.
+            Every run tests against ``instance.threshold``.
         instance_name: label carried into reports.
     """
 
@@ -215,19 +224,20 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        budgets = tuple(_integer("each item of budgets", b) for b in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         for algorithm in self.algorithms:
-            _check_params(algorithm, {})
+            _check_params(algorithm, self.params.get(algorithm, {}))
         if any(b < 0 for b in self.budgets) or not self.budgets:
             raise ValueError("budgets must be non-negative and non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for algorithm, overrides in self.params.items():
-            _check_params(algorithm, overrides)
         idle = [algorithm for algorithm in self.params if algorithm not in self.algorithms]
         if idle:
             raise ValueError(

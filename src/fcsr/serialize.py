@@ -227,9 +227,9 @@ def load_sweep_config(doc: dict[str, Any], base_seed: int) -> SweepConfig:
     return SweepConfig(
         instance=instance,
         algorithms=_typed_items(doc["algorithms"], str, "algorithms"),
-        budgets=_typed_items(doc["budgets"], int, "budgets"),
-        trials=_typed(doc["trials"], int, "trials"),
-        base_seed=_typed(base_seed, int, "base_seed"),
+        budgets=_typed(doc["budgets"], list, "budgets"),  # SweepConfig checks the integers
+        trials=doc["trials"],
+        base_seed=base_seed,
         params={
             k: _typed(v, dict, f"params of {k!r}")
             for k, v in _typed(doc.get("params", {}), dict, "params").items()

@@ -26,6 +26,7 @@ do it only together with a CHANGES.md entry that says why the traces moved.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ SEED = 20250808
 ODD_BUDGET = 1001
 LONG_BUDGET = 90000
 LONG_RUNS = ("risky", "combined")
-# Runs away from the defaults: (instance, algorithm, budget, keyword overrides).
+# Runs away from the defaults: (instance, algorithm, budget, overrides), where
+# an override is a run keyword or the instance's ``threshold``.
 PARAM_RUNS = (
     ("combined", "fcsr", 2999, {"feasibility_fraction": 0.29, "apt_fraction": 0.55}),
     ("random3-k5-m6", "fcsr", 777, {"feasibility_fraction": 0.1, "apt_fraction": 0.9}),
@@ -121,7 +123,11 @@ def trace_record(
     instance: BanditInstance, name: str, algorithm: str, budget: int, params: dict
 ) -> dict:
     rng = RngStream(SEED, trial_stream_id(algorithm, budget, 0))
-    trace = run_algorithm(algorithm, instance, budget, rng, **params)
+    # A case's ``threshold`` replaces the instance's; the rest are run keywords.
+    keywords = dict(params)
+    if "threshold" in keywords:
+        instance = replace(instance, threshold=keywords.pop("threshold"))
+    trace = run_algorithm(algorithm, instance, budget, rng, **keywords)
     return {
         "instance": name,
         "algorithm": algorithm,

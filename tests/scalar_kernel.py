@@ -181,8 +181,8 @@ def _uniform_stage(state, arms, budget: int, tau: float) -> list[tuple[int, floa
     return state.scored(arms, tau)
 
 
-def run_uniform_baseline(instance, budget, rng, threshold=None) -> RunTrace:
-    tau = _threshold(instance, budget, threshold)
+def run_uniform_baseline(instance, budget, rng) -> RunTrace:
+    tau = _threshold(instance, budget)
     state = ScalarRunState(instance, _as_generator(rng), budget)
     scored = _uniform_stage(state, range(instance.num_arms), budget, tau)
     return RunTrace(
@@ -193,10 +193,10 @@ def run_uniform_baseline(instance, budget, rng, threshold=None) -> RunTrace:
     )
 
 
-def run_sr_baseline(instance, budget, rng, threshold=None) -> RunTrace:
+def run_sr_baseline(instance, budget, rng) -> RunTrace:
     """FCSR's elimination loop with f = g = 0, whose rounds are uniform
     passes over every live arm."""
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     k = instance.num_arms
     schedule = build_schedule(k, budget, Fraction(0))
     state = ScalarRunState(instance, _as_generator(rng), budget)
@@ -220,9 +220,9 @@ def run_sr_baseline(instance, budget, rng, threshold=None) -> RunTrace:
     )
 
 
-def run_etc_baseline(instance, budget, rng, threshold=None, explore_fraction=0.5) -> RunTrace:
+def run_etc_baseline(instance, budget, rng, explore_fraction=0.5) -> RunTrace:
     k, m = instance.num_arms, instance.num_attributes
-    tau = _threshold(instance, budget, threshold)
+    tau = _threshold(instance, budget)
     explore = _fraction("explore_fraction", explore_fraction)
     state = ScalarRunState(instance, _as_generator(rng), budget)
     explore_total = _floor_mul(explore, budget)

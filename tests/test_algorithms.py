@@ -319,8 +319,9 @@ def test_fcsr_config_validation():
 
 @pytest.mark.parametrize("name", ALGORITHM_IDS)
 def test_every_algorithm_rejects_bad_threshold_and_budget(name):
-    with pytest.raises(ValueError, match="threshold must be finite"):
-        run_algorithm(name, SEPARATING, 100, RngStream(0), threshold=float("nan"))
+    # The threshold is the instance's: no run reads it as a keyword.
+    with pytest.raises(ValueError, match=rf"'{name}' does not read \['threshold'\]"):
+        run_algorithm(name, SEPARATING, 100, RngStream(0), threshold=0.5)
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run_algorithm(name, SEPARATING, -1, RngStream(0))
 

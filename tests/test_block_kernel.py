@@ -269,7 +269,10 @@ def _buffer_edge_sequence(instance: BanditInstance, seed: int):
 def _tie_sequence(seed: int):
     """Three APT passes over one run state from :func:`_tie_start`."""
     instance, stats, rng = _tie_start(seed)
-    state = algorithms._RunState(instance, rng, 10**9, stats)
+    state = algorithms._RunState(instance, rng, 10**9)
+    state.sums[0] = stats.reward_sums[0].tolist()
+    state.counts[0] = stats.pull_counts[0].tolist()
+    state.mu[0] = stats.empirical_means[0].tolist()
     pulls = [state.apt(0, 700, 0.5) for _ in range(3)]
     return pulls, state.sums, state.counts, state.mu, rng.bit_generator.state
 

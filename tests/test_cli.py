@@ -160,6 +160,24 @@ def test_run_rejects_non_finite_threshold(tmp_path, capsys):
     assert "threshold must be finite" in capsys.readouterr().err
 
 
+def test_run_tau_replaces_the_instance_threshold_and_is_recorded(tmp_path, capsys):
+    risky, moved = tmp_path / "risky.json", tmp_path / "risky-045.json"
+    write_instance(build_synthetic("risky"), risky)
+    doc = instance_to_dict(build_synthetic("risky"))
+    doc["threshold"] = 0.45
+    moved.write_text(json.dumps(doc))
+    argv = ["--algorithm", "fcsr", "--budget", "2000", "--seed", "3"]
+    assert main(["run", str(risky), *argv, "--tau", "0.45"]) == 0
+    flagged = json.loads(capsys.readouterr().out)
+    assert main(["run", str(moved), *argv]) == 0
+    assert flagged == json.loads(capsys.readouterr().out)
+    assert flagged["threshold"] == 0.45
+    assert main(["run", str(risky), *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 0.5
+    assert main(["run", str(risky), *argv, "--tau", "0.45", "--pretty"]) == 0
+    assert "threshold: 0.45\n" in capsys.readouterr().out
+
+
 def test_run_rejects_flags_and_budgets_the_algorithm_cannot_use(tmp_path, capsys):
     path = tmp_path / "risky.json"
     write_instance(build_synthetic("risky"), path)
@@ -271,14 +289,35 @@ def test_sweep_config_rejects_bad_params(tmp_path):
     """A param that is not a number, or one for an algorithm the sweep does
     not run, is rejected when the config is loaded, naming the field."""
     doc = json.loads(_sweep_config(tmp_path, algorithms=["us"]).read_text())
-    for params, message in (
-        ({"us": {"threshold": "0.3"}}, "algorithm 'us': threshold must be a real number, got '0.3'"),
-        ({"us": {"threshold": True}}, "algorithm 'us': threshold must be a real number, got True"),
-        ({"etc": {"explore_fraction": 0.5}}, "params for ['etc'], which the sweep does not run"),
+    for algorithms, params, message in (
+        (["etc"], {"etc": {"explore_fraction": "0.3"}},
+         "algorithm 'etc': explore_fraction must be a real number, got '0.3'"),
+        (["etc"], {"etc": {"explore_fraction": True}},
+         "algorithm 'etc': explore_fraction must be a real number, got True"),
+        (["us"], {"etc": {"explore_fraction": 0.5}}, "params for ['etc'], which the sweep does not run"),
     ):
         with pytest.raises(ValueError) as err:
-            load_sweep_config(dict(doc, params=params), 1)
+            load_sweep_config(dict(doc, algorithms=algorithms, params=params), 1)
         assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"fcsr": {"threshold": 0.45}}, "algorithm 'fcsr' does not read ['threshold']"),
+        ({"fcsr": {"apt_fraction": 1.5}}, "apt_fraction must lie strictly inside (0, 1), got 1.5"),
+        ({"etc": {"explore_fraction": 0}}, "explore_fraction must lie strictly inside (0, 1), got 0"),
+    ],
+    ids=["threshold", "apt-fraction", "explore-fraction"],
+)
+def test_sweep_rejects_a_threshold_or_a_fraction_outside_0_1(tmp_path, capsys, params, message):
+    """A run reads its threshold from the instance only, so a cell cannot be
+    scored against a threshold its runs did not use; and a fraction out of
+    range fails the load rather than writing NaN cells."""
+    config = _sweep_config(tmp_path, algorithms=["fcsr", "etc"], params=params)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -362,11 +401,11 @@ _JSON = st.recursive(
 )
 _CONFIG = {
     "instance": {"name": "risky", "num_arms": 3, "num_attributes": 2, "gap": 0.02},
-    "algorithms": ["us", "sr"],
+    "algorithms": ["us", "sr", "etc"],
     "budgets": [6, 12],
     "trials": 2,
     "base_seed": 1,
-    "params": {"us": {"threshold": 0.5}},
+    "params": {"etc": {"explore_fraction": 0.5}},
 }
 _PORTFOLIO = {
     "genres": ["Drama"],
@@ -417,9 +456,34 @@ def _two_movie_corpus(tmp) -> list[str]:
     return ["ingest", "--ratings", str(ratings_path), "--movies", str(movies_path)]
 
 
+_BASES = {"config": _CONFIG, "instance": _INSTANCE, "portfolio": _PORTFOLIO}
+
+
+def _exit_codes(which: str, doc, tmp) -> list[int]:
+    """The exit code of each command that reads ``doc`` as a ``which``
+    document, written under ``tmp``."""
+    path = Path(tmp) / "doc.json"
+    path.write_text(json.dumps(doc))
+    if which == "config":
+        runs = [["sweep", "--config", str(path), "--out", str(Path(tmp) / "o.csv")]]
+    elif which == "portfolio":
+        out = str(Path(tmp) / "o.json")
+        runs = [[*_two_movie_corpus(tmp), "--portfolios", str(path), "--out", out]]
+    else:
+        runs = [["hardness", str(path)],
+                ["run", str(path), "--algorithm", "fcsr", "--budget", "40", "--seed", "1"]]
+    return [main(argv) for argv in runs]
+
+
+@pytest.mark.parametrize("which", sorted(_BASES))
+def test_each_fuzz_base_document_exits_0(which, tmp_path):
+    """The fuzz test below spoils valid documents, so each base must be one."""
+    assert _exit_codes(which, _BASES[which], tmp_path) in ([0], [0, 0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    which=st.sampled_from(["config", "instance", "portfolio"]),
+    which=st.sampled_from(sorted(_BASES)),
     pick=st.integers(0, 10**6),
     value=_JSON,
 )
@@ -427,22 +491,11 @@ def test_any_value_in_a_document_exits_0_or_2(which, pick, value):
     """One value of a valid sweep config, instance or portfolio document
     replaced by any JSON value: the command succeeds or exits 2, and never
     raises."""
-    base = {"config": _CONFIG, "instance": _INSTANCE, "portfolio": _PORTFOLIO}[which]
+    base = _BASES[which]
     paths = list(_paths(base))
     doc = _replaced(base, paths[pick % len(paths)], value)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
-        if which == "config":
-            runs = [["sweep", "--config", str(path), "--out", str(Path(tmp) / "o.csv")]]
-        elif which == "portfolio":
-            out = str(Path(tmp) / "o.json")
-            runs = [[*_two_movie_corpus(tmp), "--portfolios", str(path), "--out", out]]
-        else:
-            runs = [["hardness", str(path)],
-                    ["run", str(path), "--algorithm", "fcsr", "--budget", "40", "--seed", "1"]]
-        for argv in runs:
-            assert main(argv) in (0, 2)
+        assert set(_exit_codes(which, doc, tmp)) <= {0, 2}
 
 
 def test_sweep_instance_from_file(tmp_path):

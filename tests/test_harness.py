@@ -260,14 +260,40 @@ def test_sweep_config_validation():
 
 def test_sweep_config_rejects_params_that_are_not_numbers():
     # A string failed every cell with a TypeError that named no field, and
-    # True ran silently as threshold 1.0.
+    # True would run silently as 1.0.
     for value in ("0.3", True, [0.3]):
-        with pytest.raises(ValueError, match=r"'us': threshold must be a real number"):
-            _tiny_config(algorithms=("us",), params={"us": {"threshold": value}})
+        with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number"):
+            _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": value}})
     with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number, got None"):
         _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": None}})
-    _tiny_config(algorithms=("us",), params={"us": {"threshold": None}})
-    _tiny_config(algorithms=("etc",), params={"etc": {"threshold": 1, "explore_fraction": Fraction(1, 3)}})
+    with pytest.raises(ValueError, match=r"'us' does not read \['threshold'\]"):
+        _tiny_config(algorithms=("us",), params={"us": {"threshold": None}})
+    _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": Fraction(1, 3)}})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"budgets": (60, 100.9)}, "each item of budgets must be an integer, got 100.9"),
+        ({"budgets": (True, 120)}, "each item of budgets must be an integer, got True"),
+        ({"trials": 8.0}, "trials must be an integer, got 8.0"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"base_seed": 99.5}, "base_seed must be an integer, got 99.5"),
+    ],
+    ids=["float-budget", "bool-budget", "float-trials", "bool-trials", "float-seed"],
+)
+def test_sweep_config_rejects_a_count_or_seed_that_is_not_an_integer(overrides, message):
+    # int() truncated budget 100.9 to 100 and read True as 1; a float trial
+    # count or seed failed every cell with a message that named no field.
+    with pytest.raises(ValueError) as err:
+        _tiny_config(**overrides)
+    assert str(err.value) == message
+
+
+def test_sweep_config_takes_numpy_integers_as_ints():
+    config = _tiny_config(budgets=np.array([60, 120]), trials=np.int64(8), base_seed=np.uint32(99))
+    assert (config.budgets, config.trials, config.base_seed) == ((60, 120), 8, 99)
+    assert all(type(x) is int for x in (*config.budgets, config.trials, config.base_seed))
 
 
 def test_sweep_config_rejects_params_for_an_algorithm_it_does_not_run():
@@ -297,9 +323,9 @@ def test_sweep_records_cell_failures():
     # on a cell that ran.
     assert result.cell("sr", 0).note == "failed: the round schedule needs at least 2 arms"
     assert result.cell("us", 0).note == "budget below one pull per attribute (1)"
-    # A non-finite threshold override fails every cell, naming the field.
-    config = replace(config, instance=SEPARATING, params={"sr": {"threshold": math.nan}})
-    assert run_sweep(config).cell("sr", 50).note == "failed: threshold must be finite, got nan"
+    # A threshold override is rejected when the config is built, naming it.
+    with pytest.raises(ValueError, match=r"'sr' does not read \['threshold'\]"):
+        replace(config, instance=SEPARATING, params={"sr": {"threshold": math.nan}})
 
 
 def test_cell_equality_ignores_wall_time():
