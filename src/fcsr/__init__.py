@@ -14,10 +14,7 @@ from .algorithms import (
     apt_phase,
     build_schedule,
     run_algorithm,
-    run_etc_baseline,
     run_fcsr,
-    run_sr_baseline,
-    run_uniform_baseline,
     sample_until_feasible,
     uniform_phase,
 )
@@ -81,11 +78,8 @@ __all__ = [
     "oracle",
     "predict_exponents",
     "run_algorithm",
-    "run_etc_baseline",
     "run_fcsr",
-    "run_sr_baseline",
     "run_sweep",
-    "run_uniform_baseline",
     "sample_until_feasible",
     "trial_stream_id",
     "uniform_phase",

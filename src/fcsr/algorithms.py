@@ -53,9 +53,6 @@ __all__ = [
     "apt_phase",
     "sample_until_feasible",
     "run_fcsr",
-    "run_uniform_baseline",
-    "run_sr_baseline",
-    "run_etc_baseline",
     "run_algorithm",
     "ALGORITHM_IDS",
 ]
@@ -399,13 +396,20 @@ def _on_row(
     rng: RngStream | np.random.Generator, method: Callable[..., int], *args,
 ) -> int:
     """``method(state, arm - 1, *args)`` on a fresh run state with budget
-    guard ``cap``, with ``arm``'s row of ``stats`` copied in and back."""
-    if not 1 <= arm <= stats.num_arms:
-        raise IndexError(f"arm {arm} out of range 1..{stats.num_arms}")
+    guard ``cap``, with ``arm``'s row of ``stats`` copied in and back.
+    Every table of ``stats`` must have the instance's shape (K, M)."""
+    shape = (instance.num_arms, instance.num_attributes)
+    tables = (stats.reward_sums, stats.pull_counts, stats.empirical_means)
+    if any(np.shape(table) != shape for table in tables):
+        raise ValueError(
+            f"stats tables of shapes {[np.shape(t) for t in tables]} do not match "
+            f"the instance's (K, M) = {shape}"
+        )
+    if not 1 <= arm <= instance.num_arms:
+        raise IndexError(f"arm {arm} out of range 1..{instance.num_arms}")
     i = arm - 1
     state = _RunState(instance, _as_generator(rng), cap)
-    rows = ((state.sums, stats.reward_sums), (state.counts, stats.pull_counts),
-            (state.mu, stats.empirical_means))
+    rows = tuple(zip((state.sums, state.counts, state.mu), tables))
     for row, table in rows:
         row[i] = table[i].tolist()
     n = method(state, i, *args)
@@ -705,7 +709,10 @@ class _Batch:
 
 
 def _us(instance, budget, gens, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_uniform_baseline`, one per generator."""
+    """Uniform sampling: split the budget evenly, floor(T / (K*M)) pulls per
+    attribute. Each trial, one per generator, decides on the empirically
+    feasible arm with the highest empirical arm mean (lowest index on ties),
+    or 0 when no arm looks feasible."""
     tau = _threshold(instance, budget)
     cells = instance.num_arms * instance.num_attributes
     batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
@@ -714,9 +721,16 @@ def _us(instance, budget, gens, log=None) -> np.ndarray:
 
 
 def _sr(instance, budget, gens, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_sr_baseline`. Each round drops
-    each trial's first lowest score, as :func:`run_fcsr` does, with the
-    round's arms compacted once, by :meth:`_Batch.drop`."""
+    """Successive rejects with the feasibility-gated score.
+
+    The full budget goes through the round schedule (no feasibility
+    reserve); each round every surviving arm takes its increment as a
+    uniform pass, then each trial drops its first lowest-scoring arm
+    (lowest index on score ties), as :func:`run_fcsr` does, with the
+    round's arms compacted once, by :meth:`_Batch.drop`. The survivor is
+    returned only if empirically feasible. This is FCSR's loop with the
+    adaptive thresholding and sample-until-feasible budgets at 0.
+    """
     tau = _threshold(instance, budget)
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
@@ -735,8 +749,15 @@ def _sr(instance, budget, gens, log=None) -> np.ndarray:
 
 
 def _etc(instance, budget, gens, explore_fraction=0.5, log=None) -> np.ndarray:
-    """The decision of each trial of :func:`run_etc_baseline`. A stable sort on
-    the negated stage-one score ranks the candidates, lower arm first on ties."""
+    """Two-stage explore-then-commit.
+
+    Stage one spreads ``explore_fraction`` of the budget uniformly over all
+    K*M attributes and keeps the min(M, K) highest-scoring arms as
+    candidates: a stable sort on the negated stage-one score ranks them,
+    lower arm first on ties. Stage two spreads the remaining budget
+    uniformly over the candidates' attributes. The highest-scoring
+    candidate is returned if it looks feasible, else 0.
+    """
     tau = _threshold(instance, budget)
     explore = _fraction("explore_fraction", explore_fraction)
     k, m = instance.num_arms, instance.num_attributes
@@ -754,13 +775,13 @@ def _etc(instance, budget, gens, explore_fraction=0.5, log=None) -> np.ndarray:
     )
 
 
-def _one_trial(run: Callable, phases: tuple[str, ...], instance, budget, rng, *params) -> RunTrace:
+def _one_trial(run: Callable, phases: tuple[str, ...], instance, budget, rng, **params) -> RunTrace:
     """The trace of one trial of the batched ``run``. Its scoring points are
     the rounds of ``per_round_scores``, and the arms dropped there make
     ``elimination_order``. The pulls made before scoring point i count under
     ``phases[i]``, the last name repeating."""
     log: list = []
-    decision = run(instance, budget, [_as_generator(rng)], *params, log=log)
+    decision = run(instance, budget, [_as_generator(rng)], log=log, **params)
     pulls: dict[str, int] = {}
     used = 0
     for i, (_, _, now, *_) in enumerate(log):
@@ -776,71 +797,22 @@ def _one_trial(run: Callable, phases: tuple[str, ...], instance, budget, rng, *p
     )
 
 
-def run_uniform_baseline(
-    instance: BanditInstance,
-    budget: int,
-    rng: RngStream | np.random.Generator,
-) -> RunTrace:
-    """Split the budget evenly: floor(T / (K*M)) pulls per attribute.
-
-    Decides on the empirically feasible arm with the highest empirical arm
-    mean (lowest index on ties), or 0 when no arm looks feasible.
-    """
-    return _one_trial(_us, ("uniform",), instance, budget, rng)
-
-
-def run_sr_baseline(
-    instance: BanditInstance,
-    budget: int,
-    rng: RngStream | np.random.Generator,
-) -> RunTrace:
-    """Successive rejects with the feasibility-gated score.
-
-    The full budget goes through the round schedule (no feasibility
-    reserve); each round every surviving arm takes its increment as a
-    uniform pass, then the lowest-scoring arm is dropped (lowest index on
-    score ties). The survivor is returned only if empirically feasible.
-    This is FCSR's loop with the adaptive thresholding and
-    sample-until-feasible budgets at 0.
-    """
-    return _one_trial(_sr, ("uniform",), instance, budget, rng)
-
-
-def run_etc_baseline(
-    instance: BanditInstance,
-    budget: int,
-    rng: RngStream | np.random.Generator,
-    explore_fraction: float = 0.5,
-) -> RunTrace:
-    """Two-stage explore-then-commit.
-
-    Stage one spreads ``explore_fraction`` of the budget uniformly over all
-    K*M attributes and keeps the min(M, K) highest-scoring arms as
-    candidates. Stage two spreads the remaining budget uniformly over the
-    candidates' attributes. The highest-scoring candidate is returned if it
-    looks feasible, else 0.
-    """
-    return _one_trial(_etc, ("explore", "commit"), instance, budget, rng, explore_fraction)
-
-
 def _fcsr(instance, budget, gens, **params) -> np.ndarray:
     """The decision of each trial of :func:`run_fcsr`, one trial at a time,
     since the pulls of its adaptive passes depend on its draws."""
     return np.array([run_fcsr(instance, budget, gen, **params).decision for gen in gens])
 
 
-# Each algorithm's one-trial run, which returns its RunTrace, and its batched
-# run, which returns the decision of each trial of a batch.
-_RUNS = {
-    "fcsr": (run_fcsr, _fcsr),
-    "us": (run_uniform_baseline, _us),
-    "sr": (run_sr_baseline, _sr),
-    "etc": (run_etc_baseline, _etc),
-}
+# Each algorithm's batched run, which returns the decision of each trial of a
+# batch, and each baseline's trace phase names (see :func:`_one_trial`).
+_RUNS = {"fcsr": _fcsr, "us": _us, "sr": _sr, "etc": _etc}
+_PHASES = {"us": ("uniform",), "sr": ("uniform",), "etc": ("explore", "commit")}
 ALGORITHM_IDS = tuple(_RUNS)
-# The keywords each algorithm reads: the parameters of its run after ``rng``.
+# The keywords each algorithm reads: the parameters after ``rng`` of
+# run_fcsr, and after ``gens`` of a batched baseline, but its ``log``.
 ALGORITHM_PARAMS = {
-    name: tuple(inspect.signature(run).parameters)[3:] for name, (run, _) in _RUNS.items()
+    name: tuple(key for key in inspect.signature(run).parameters if key != "log")[3:]
+    for name, run in {**_RUNS, "fcsr": run_fcsr}.items()
 }
 
 
@@ -867,7 +839,7 @@ def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence,
     """The decision of :func:`run_algorithm` from each of ``rngs``, run as
     one batch."""
     _check_params(name, params)
-    return _RUNS[name][1](instance, budget, [_as_generator(rng) for rng in rngs], **params)
+    return _RUNS[name](instance, budget, [_as_generator(rng) for rng in rngs], **params)
 
 
 def run_algorithm(
@@ -879,10 +851,14 @@ def run_algorithm(
 ) -> RunTrace:
     """Run algorithm ``name`` with the keywords ``params``.
 
-    Identifiers: "fcsr", "us" (uniform), "sr" (successive rejects),
-    "etc" (explore-then-commit). Every run tests feasibility against
+    Identifiers: "fcsr" (:func:`run_fcsr`), "us" (uniform), "sr"
+    (successive rejects), "etc" (explore-then-commit); a baseline runs as a
+    traced batch of one trial of ``_us``, ``_sr`` or ``_etc``, whose
+    docstrings state its rules. Every run tests feasibility against
     ``instance.threshold``. ``ALGORITHM_PARAMS`` lists the keywords each one
     reads, each a fraction in (0, 1), and any other keyword is an error.
     """
     _check_params(name, params)
-    return _RUNS[name][0](instance, budget, rng, **params)
+    if name == "fcsr":
+        return run_fcsr(instance, budget, rng, **params)
+    return _one_trial(_RUNS[name], _PHASES[name], instance, budget, rng, **params)

@@ -430,10 +430,6 @@ class StatsState:
     def for_instance(cls, instance: BanditInstance) -> "StatsState":
         return cls.zeros(instance.num_arms, instance.num_attributes)
 
-    @property
-    def num_arms(self) -> int:
-        return self.reward_sums.shape[0]
-
     def total_pulls(self) -> int:
         return int(self.pull_counts.sum())
 

@@ -230,6 +230,9 @@ class SweepConfig:
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithms lists {repeated} more than once")
         for algorithm in self.algorithms:
             _check_params(algorithm, self.params.get(algorithm, {}))
         if any(b < 0 for b in self.budgets) or not self.budgets:

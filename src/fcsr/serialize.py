@@ -197,7 +197,7 @@ def resolve_instance(ref: str | dict[str, Any]) -> tuple[BanditInstance, str]:
             raise ValueError(f"unknown synthetic instance name {name!r}")
         kwargs = {
             key: _typed(ref[key], kind, f"instance {key}") for key, kind in _SYNTHETIC_KEYS.items()
-            if ref.get(key) is not None
+            if key in ref
         }
         return build_synthetic(name, **kwargs), name
     _typed(ref, str, "instance")

@@ -1,9 +1,12 @@
 """The verdicts of tools/ab_bench.py on paired parent-against-change runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
+
+import fcsr
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
 _SPEC = importlib.util.spec_from_file_location("ab_bench", _PATH)
@@ -44,3 +47,10 @@ def test_a_ref_spread_wider_than_the_bound_is_unresolved():
 @pytest.mark.parametrize("higher, factor", [(True, 0.7), (False, 1.3)])
 def test_a_median_worse_than_the_bound_regressed(higher, factor):
     assert ab_bench.verdict(REF, [x * factor for x in REF], higher=higher, bound=0.25) == "regressed"
+
+
+def test_source_size_counts_lines_and_exported_names():
+    wc = subprocess.run("wc -l src/fcsr/*.py", shell=True, cwd=ab_bench.ROOT,
+                        capture_output=True, text=True, check=True)
+    total = int(wc.stdout.splitlines()[-1].split()[0])
+    assert ab_bench.source_size(ab_bench.ROOT) == (total, len(fcsr.__all__))

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from fcsr.algorithms import (
     ALGORITHM_IDS,
+    ALGORITHM_PARAMS,
     apt_phase,
     build_schedule,
     run_algorithm,
-    run_etc_baseline,
     run_fcsr,
-    run_sr_baseline,
-    run_uniform_baseline,
     sample_until_feasible,
     uniform_phase,
 )
@@ -326,10 +324,44 @@ def test_every_algorithm_rejects_bad_threshold_and_budget(name):
         run_algorithm(name, SEPARATING, -1, RngStream(0))
 
 
+def test_algorithm_params_are_read_from_the_runs_that_declare_them():
+    assert ALGORITHM_PARAMS == {
+        "fcsr": ("feasibility_fraction", "apt_fraction"),
+        "us": (),
+        "sr": (),
+        "etc": ("explore_fraction",),
+    }
+
+
+@pytest.mark.parametrize("name", ALGORITHM_IDS)
+def test_no_algorithm_takes_the_batched_runs_log(name):
+    with pytest.raises(ValueError, match=rf"'{name}' does not read \['log'\]"):
+        run_algorithm(name, SEPARATING, 100, RngStream(0), log=[])
+
+
+def _trace_hex(trace):
+    scores = [[(i, s.hex()) for i, s in r] for r in trace.per_round_scores]
+    return (trace.decision, trace.pulls_total, trace.pulls_by_phase,
+            trace.elimination_order, scores)
+
+
+@pytest.mark.parametrize("name, defaults", [
+    ("etc", {"explore_fraction": 0.5}),
+    ("fcsr", {"feasibility_fraction": 0.2, "apt_fraction": 0.3}),
+])
+def test_run_defaults_are_stated_once(name, defaults):
+    # Leaving a keyword out runs its declared default, on the same draws.
+    instance = _instance([[0.7, 0.6], [0.5, 0.4], [0.65, 0.55]], tau=0.5)
+    for seed in range(3):
+        implicit = run_algorithm(name, instance, 900, RngStream(seed))
+        explicit = run_algorithm(name, instance, 900, RngStream(seed), **defaults)
+        assert _trace_hex(implicit) == _trace_hex(explicit)
+
+
 def test_uniform_baseline_examples():
-    assert run_uniform_baseline(SEPARATING, 100, RngStream(3)).decision == 1
+    assert run_algorithm("us", SEPARATING, 100, RngStream(3)).decision == 1
     # Budget below one pull per attribute: zero data, nothing looks feasible.
-    trace = run_uniform_baseline(SEPARATING, 1, RngStream(3))
+    trace = run_algorithm("us", SEPARATING, 1, RngStream(3))
     assert trace.pulls_total == 0
     assert trace.decision == 0
 
@@ -338,13 +370,14 @@ def test_uniform_baseline_no_feasible_arm_returns_flag():
     instance = BanditInstance(
         arms=((Bernoulli(0.0),), (Bernoulli(0.0),)), threshold=0.5
     )
-    assert run_uniform_baseline(instance, 50, RngStream(1)).decision == 0
+    assert run_algorithm("us", instance, 50, RngStream(1)).decision == 0
 
 
 def test_sr_baseline_examples():
-    assert run_sr_baseline(SEPARATING, 100, RngStream(3)).decision == 1
+    assert run_algorithm("sr", SEPARATING, 100, RngStream(3)).decision == 1
     with pytest.raises(ValueError):
-        run_sr_baseline(
+        run_algorithm(
+            "sr",
             BanditInstance(arms=((Bernoulli(0.5),),), threshold=0.1), 10, RngStream(0)
         )
 
@@ -355,20 +388,20 @@ def test_sr_budget_guard_exact():
     instance = BanditInstance(
         arms=((Bernoulli(0.9),), (Bernoulli(0.1),)), threshold=0.5
     )
-    trace = run_sr_baseline(instance, 101, RngStream(2))
+    trace = run_algorithm("sr", instance, 101, RngStream(2))
     assert trace.pulls_total == 101
 
 
 def test_etc_baseline_examples():
-    assert run_etc_baseline(SEPARATING, 100, RngStream(3)).decision == 1
+    assert run_algorithm("etc", SEPARATING, 100, RngStream(3)).decision == 1
     with pytest.raises(ValueError):
-        run_etc_baseline(SEPARATING, 100, RngStream(3), explore_fraction=1.0)
+        run_algorithm("etc", SEPARATING, 100, RngStream(3), explore_fraction=1.0)
 
 
 def test_etc_candidate_set_degenerates_to_all_arms():
     # K <= M keeps every arm, so the second stage scores all of them.
     instance = _instance([[0.7, 0.6, 0.8], [0.5, 0.4, 0.9]], tau=0.2)
-    trace = run_etc_baseline(instance, 600, RngStream(8))
+    trace = run_algorithm("etc", instance, 600, RngStream(8))
     assert len(trace.per_round_scores[1]) == 2
 
 

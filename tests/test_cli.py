@@ -330,8 +330,13 @@ def test_sweep_rejects_a_threshold_or_a_fraction_outside_0_1(tmp_path, capsys, p
         ({"trials": [2]}, "trials must be an integer, got [2]"),
         ({"instance": 5}, "instance must be a string, got 5"),
         ({"instance": {"name": "risky", "num_arms": "4"}}, "instance num_arms must be an integer, got '4'"),
+        ({"instance": {"name": "risky", "gap": None, "num_arms": None}},
+         "instance gap must be a number, got None"),
+        ({"instance": {"name": "risky", "num_arms": None}}, "instance num_arms must be an integer, got None"),
+        ({"algorithms": ["us", "us"]}, "algorithms lists ['us'] more than once"),
     ],
-    ids=["params", "algorithms", "budgets", "budget-item", "trials", "instance", "instance-key"],
+    ids=["params", "algorithms", "budgets", "budget-item", "trials", "instance", "instance-key",
+         "instance-null-gap", "instance-null-num-arms", "repeated-algorithm"],
 )
 def test_sweep_config_names_a_value_of_the_wrong_type(tmp_path, capsys, overrides, message):
     config = _sweep_config(tmp_path, **overrides)

@@ -3,6 +3,7 @@ the public names of every module."""
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ def test_update_index_errors():
         for call in _phase_calls(instance, stats, arm, 10, gen):
             with pytest.raises(IndexError, match=f"arm {arm} out of range"):
                 call()
+    assert stats.total_pulls() == 0
+
+
+@pytest.mark.parametrize("phase", range(3), ids=["uniform", "apt", "suf"])
+@pytest.mark.parametrize("shape, arm", [((2, 1), 1), ((2, 3), 1), ((3, 2), 3)])
+def test_phase_functions_reject_stats_of_another_shape(phase, shape, arm):
+    # Too few attributes would put every pull on the first, too many would
+    # index past the instance, and a third arm row would pass the arm check.
+    instance = build_synthetic("risky", num_arms=2, num_attributes=2)
+    stats = StatsState.zeros(*shape)
+    call = _phase_calls(instance, stats, arm, 10, np.random.default_rng(0))[phase]
+    with pytest.raises(ValueError, match=rf"shapes \[{re.escape(str(shape))}.*\(K, M\) = \(2, 2\)"):
+        call()
     assert stats.total_pulls() == 0
 
 

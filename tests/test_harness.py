@@ -303,6 +303,12 @@ def test_sweep_config_rejects_params_for_an_algorithm_it_does_not_run():
         _tiny_config(algorithms=("us",), params={"etc": {}})
 
 
+def test_sweep_config_rejects_a_repeated_algorithm():
+    # Each cell of a repeated algorithm would run twice on the same streams.
+    with pytest.raises(ValueError, match=r"algorithms lists \['us'\] more than once"):
+        _tiny_config(algorithms=("us", "sr", "us"))
+
+
 def test_sweep_records_cell_failures():
     # One arm only: the round-based algorithms refuse, uniform still works.
     single = BanditInstance(arms=((Bernoulli(0.9),),), threshold=0.5)

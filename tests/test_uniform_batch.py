@@ -12,6 +12,7 @@ Bernoulli trial one ``binomial`` call per uniform stage, and any other trial
 one ``draw_sum`` per cell.
 """
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_runs_match_scalar_oracle(name, instance, monkeypatch):
     ``_expected_run_calls``."""
     km = instance.num_arms * instance.num_attributes
     for algorithm in ("us", "sr", "etc", "fcsr"):
-        run, _ = algorithms._RUNS[algorithm]
+        run = functools.partial(run_algorithm, algorithm)
         for budget in (km - 1, km + 3, 10 * km + 7, 10000):
             for seed in range(3):
                 block = _run_hex(run, instance, budget, seed)
@@ -261,7 +262,7 @@ def _batch_traces(algorithm, instance, budget, seeds, gens=None, **params):
     log: list = []
     if gens is None:
         gens = [np.random.default_rng([seed, budget]) for seed in seeds]
-    _, batched = algorithms._RUNS[algorithm]
+    batched = algorithms._RUNS[algorithm]
     decisions = batched(instance, budget, gens, log=log, **params)
     traces = []
     for n, decision in enumerate(decisions.tolist()):

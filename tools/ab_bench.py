@@ -18,15 +18,17 @@ pairs the change won, and a verdict against the metric's declared bound:
   bound, and not every run of the change beats every run of the ref;
 * ``ok``: otherwise.
 
-Each run's metrics go to stderr as it ends. The script exits 1 when a
-metric regressed, or when a run did not read ``correct=true`` with 0
-failed, and names the runs that did not.
+It also prints each side's source size: the lines of ``src/fcsr/*.py`` and
+the number of names ``fcsr`` exports. Each run's metrics go to stderr as it
+ends. The script exits 1 when a metric regressed, or when a run did not
+read ``correct=true`` with 0 failed, and names the runs that did not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -50,6 +52,16 @@ def bench(checkout: Path, workload: str, seed: int) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def source_size(checkout: Path) -> tuple[int, int]:
+    """(lines of ``src/fcsr/*.py``, ``len(fcsr.__all__)``) of ``checkout``,
+    the names read in a fresh interpreter that imports its ``src``."""
+    lines = sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "fcsr").glob("*.py"))
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    names = subprocess.run([sys.executable, "-c", "import fcsr; print(len(fcsr.__all__))"],
+                           cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return lines, int(names.stdout)
 
 
 def summary(values: list[float]) -> tuple[float, float, float]:
@@ -100,9 +112,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
+        sizes = {side: source_size(path) for side, path in sides.items()}
 
     print(f"{args.workload}: {args.ref} against the working tree, {len(seeds)} pairs, "
           f"seeds {args.seeds}")
+    print("source lines, exported names: "
+          + ", ".join(f"{side} {lines}, {names}" for side, (lines, names) in sizes.items()))
     print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins  verdict")
     regressed = []
     for metric in declared:
