@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     BanditInstance,
+    Bernoulli,
     Gaussian,
     RngStream,
     StatsState,
@@ -590,17 +591,21 @@ class _Batch:
     pulls.
 
     Trial n draws only from ``gens[n]``, so its result does not depend on
-    the batch. On a Gaussian instance (``_sum_law``), the sum of ``take``
-    pulls of a cell of mean m and variance v is ``take*m + sqrt(take*v)*z``:
-    ``Gaussian.draw_sum`` draws ``normal(take*m, sqrt(take*v))``, which
-    numpy computes so from the next standard normal z. A stage computes
-    the (take*m, sqrt(take*v)) table of the K x M attributes once per take
-    and gathers it by arm. A trial's normals for the whole run come from
-    one ``standard_normal`` call, which gives the values and the generator
-    state of one call per stage. Past ``_NORMALS`` normals a trial, whole
-    stages go into further calls, and a stage wider than that is drawn on
-    its own. Other instances draw each stage's block sums with
-    ``BanditInstance._draw_block_sums``.
+    the batch, and a stage's block sums have the values, and leave the
+    generator in the state, of one ``draw_sum`` per cell in order. The
+    instance's family and parameter table (``_sum_law``) say how a stage
+    draws them:
+
+    - Gaussian: the sum of ``take`` pulls of a cell of mean m and variance
+      v is ``take*m + sqrt(take*v)*z``, as numpy computes ``normal(take*m,
+      sqrt(take*v))`` from the next standard normal z. A stage gathers the
+      (take*m, sqrt(take*v)) table by arm, once per take. A trial's normals
+      for the whole run come from one ``standard_normal`` call; past
+      ``_NORMALS`` normals a trial, whole stages go into further calls, and
+      a stage wider than that is drawn on its own.
+    - Bernoulli: a stage gathers p by arm and draws each trial's sums with
+      one ``binomial`` call.
+    - Any other instance: one ``draw_sum`` per cell.
 
     ``log``, if a list, receives (arms, scores, pulls so far) at each
     scoring point, to which ``sr`` adds the arms it drops there.
@@ -615,8 +620,7 @@ class _Batch:
         self.arms = np.tile(np.arange(k), (n, 1))
         self.sums, self.mu = np.zeros((n, k, m)), np.zeros((m, n, k))
         self.counts = np.zeros(k * m)
-        law = instance._sum_law
-        self.params = law[1] if law is not None and law[0] is Gaussian else None
+        self.family, self.params = instance._sum_law or (None, None)
         # Each stage's (quota, whole, rest) and the run's pulls after it.
         stages: list[tuple[tuple[int, int, int], int]] = []
         used = 0
@@ -634,7 +638,7 @@ class _Batch:
         # an earlier draw holds stage s's); stage s's start at ``at[s]``.
         width, at = [0] * len(stages), [0] * len(stages)
         first = 0
-        for s, ((_, whole, rest), _) in enumerate(stages if self.params is not None else ()):
+        for s, ((_, whole, rest), _) in enumerate(stages if self.family is Gaussian else ()):
             cells = whole + (rest > 0)
             if width[first] + cells > _NORMALS:
                 first = s
@@ -642,16 +646,6 @@ class _Batch:
             width[first] += cells
         self.plan = iter(zip(stages, width, at))
         self.z: np.ndarray | None = None
-
-    def _gaussian_sums(self, take: int, lo: int, hi: int, z: np.ndarray) -> np.ndarray:
-        """(N, hi - lo) sums of ``take`` pulls of cells lo..hi-1 of each
-        trial, from the normals ``z`` of the stage's cells."""
-        table = self.params * take  # (take*m, take*v) of every attribute
-        np.sqrt(table[1], out=table[1])
-        loc, scale = np.take(table, self.arms, axis=1).reshape(2, len(self.gens), -1)[:, :, lo:hi]
-        scale *= z[:, lo:hi]
-        scale += loc
-        return scale
 
     def uniform(self) -> None:
         """The next stage of the plan: its pulls of each of the first cells of
@@ -665,15 +659,26 @@ class _Batch:
         if not cells:
             return
         sums = self.sums.reshape(n, -1)[:, :cells]
-        if self.params is None:
-            takes = np.full(cells, quota)
-            takes[whole:] = rest
-            sums += self.instance._draw_block_sums(self.arms, takes, self.gens)
-        else:  # one table per take: ``quota`` of the whole cells, ``rest`` of a cut one
-            z = self.z[:, at:at + cells]
+        if self.family is Gaussian:  # ``quota`` pulls of the whole cells, ``rest`` of a cut one
             for take, lo, hi in ((quota, 0, whole), (rest, whole, cells)):
                 if lo < hi:
-                    sums[:, lo:hi] += self._gaussian_sums(take, lo, hi, z)
+                    table = self.params * take  # (take*m, take*v) of every attribute
+                    np.sqrt(table[1], out=table[1])
+                    loc, scale = np.take(table, self.arms, axis=1).reshape(2, n, -1)[:, :, lo:hi]
+                    scale *= self.z[:, at + lo:at + hi]
+                    scale += loc
+                    sums[:, lo:hi] += scale
+        else:
+            takes = np.full(cells, quota)
+            takes[whole:] = rest
+            if self.family is Bernoulli:
+                p = self.params[0, self.arms].reshape(n, -1)[:, :cells]
+                sums += [gen.binomial(takes, row) for gen, row in zip(self.gens, p)]
+            else:
+                m, arms, takes = self.mu.shape[0], self.instance.arms, takes.tolist()
+                for row, gen, ids in zip(sums, self.gens, self.arms.tolist()):
+                    for c, take in enumerate(takes):
+                        row[c] += arms[ids[c // m]][c % m].draw_sum(take, gen)
         self.counts[:whole] += quota
         self.counts[whole:cells] += rest
         # Every mean again, a count of 0 read as 1: the cells past the stage

@@ -314,12 +314,9 @@ class BanditInstance:
     @cached_property
     def _sum_law(self) -> tuple[type, np.ndarray] | None:
         """(family, parameters) when every attribute is Gaussian or every one
-        is Bernoulli, so that a batch can draw a trial's block sums in one
-        call (Gaussian: ``algorithms._Batch``; Bernoulli:
-        :meth:`_draw_block_sums`); else None. ``parameters[f, i, j]`` is field
-        f (mean and variance, or p) of attribute (i, j). Empirical attributes
-        each have their own support, so theirs stay one ``multinomial`` call
-        each."""
+        is Bernoulli, else None. ``parameters[f, i, j]`` is field f (mean and
+        variance, or p) of attribute (i, j). Empirical attributes each have
+        their own support, so they have no such table."""
         families = {type(d) for row in self.arms for d in row}
         if families == {Gaussian}:
             fields = ("mean", "variance")
@@ -329,25 +326,6 @@ class BanditInstance:
             return None
         params = [[[getattr(d, f) for d in row] for row in self.arms] for f in fields]
         return families.pop(), np.array(params, dtype=np.float64)
-
-    def _draw_block_sums(self, arms: np.ndarray, takes: np.ndarray, gens: list) -> np.ndarray:
-        """(N, C) block sums of a batch of N trials, C = ``len(takes)``: cell c
-        of trial n is the sum of ``takes[c]`` pulls of attribute c % M of arm
-        ``arms[n, c // M]``, drawn from ``gens[n]`` with the values, and the
-        generator state after them, of one ``draw_sum`` per cell in order. A
-        Bernoulli instance makes one call per trial (:attr:`_sum_law`)."""
-        n, cells = len(gens), len(takes)
-        law = self._sum_law
-        if law is not None and law[0] is Bernoulli:
-            p = law[1][0, arms].reshape(n, -1)[:, :cells]
-            return np.array([gen.binomial(takes, row) for gen, row in zip(gens, p)], dtype=float)
-        m = self.num_attributes
-        sums = np.empty((n, cells))
-        takes = takes.tolist()
-        for row, gen, ids in zip(sums, gens, arms.tolist()):
-            for c, take in enumerate(takes):
-                row[c] = self.arms[ids[c // m]][c % m].draw_sum(take, gen)
-        return sums
 
     @cached_property
     def arm_means(self) -> np.ndarray:

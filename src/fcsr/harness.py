@@ -365,7 +365,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     otherwise, or breaks the new pool too, is recorded with a note and NaN
     statistics instead of aborting the sweep.
     """
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
     truth = oracle(config.instance)
     min_pulls = config.instance.num_arms * config.instance.num_attributes

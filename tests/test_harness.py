@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -294,6 +295,13 @@ def test_sweep_config_takes_numpy_integers_as_ints():
     config = _tiny_config(budgets=np.array([60, 120]), trials=np.int64(8), base_seed=np.uint32(99))
     assert (config.budgets, config.trials, config.base_seed) == ((60, 120), 8, 99)
     assert all(type(x) is int for x in (*config.budgets, config.trials, config.base_seed))
+
+
+def test_sweep_rejects_a_worker_count_that_is_not_an_integer():
+    config = _tiny_config(algorithms=("us",), trials=1)
+    for workers in (2.5, "2", True):
+        with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, got {workers!r}")):
+            run_sweep(config, workers)
 
 
 def test_sweep_config_rejects_params_for_an_algorithm_it_does_not_run():
