@@ -44,6 +44,7 @@ from .core import (
     StatsState,
     _as_generator,
     _gated_scores,
+    _integer,
 )
 
 __all__ = [
@@ -62,32 +63,27 @@ _CHUNK = 512  # single-pull buffer refill size
 _GALLOP = 32  # single pulls of an APT run before the rest of it goes in numpy blocks
 
 
-def _exact(x: float | int | Fraction) -> Fraction:
-    """Exact rational value of a numeric parameter.
-
-    Floats go through their shortest decimal repr, so f=0.2 means exactly
-    1/5 rather than the nearest binary double.
-    """
-    return x if isinstance(x, Fraction) else Fraction(str(x))
-
-
 def _floor_mul(frac: Fraction, n: int) -> int:
     """floor(frac * n), exactly."""
     return frac.numerator * n // frac.denominator
 
 
 def _fraction(name: str, x: float | Fraction) -> Fraction:
-    """The exact value of the run parameter ``name``, which must lie in (0, 1)."""
-    if not 0 < x < 1:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
-    return _exact(x)
+    """The exact value of the run fraction ``name``, a real number (a bool is
+    not one) in [0, 1); 0 gives its stage no budget. Floats go through their
+    shortest decimal repr, so 0.2 means exactly 1/5, not the nearest double."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    if not 0 <= x < 1:
+        raise ValueError(f"{name} must lie in [0, 1), got {x}")
+    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
-def _threshold(instance: BanditInstance, budget: int) -> float:
-    """The instance's threshold, once ``budget`` is checked: no run can spend a negative one."""
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    return instance.threshold
+def _budget(name: str, value: int) -> int:
+    """The pull budget ``name`` as an int: a non-negative integer (a bool is not one)."""
+    if _integer(name, value) < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -142,18 +138,15 @@ def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0
     is a ceiling of integers.
 
     Args:
-        num_arms: K >= 2.
-        budget: total pull budget T >= 0.
+        num_arms: K >= 2, an integer.
+        budget: total pull budget T, a non-negative integer.
         feasibility_fraction: fraction f in [0, 1) reserved away from the
             round schedule (0 for the plain successive-rejects baseline).
     """
-    if num_arms < 2:
+    if _integer("num_arms", num_arms) < 2:
         raise ValueError("the round schedule needs at least 2 arms")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    f = _exact(feasibility_fraction)
-    if not 0 <= f < 1:
-        raise ValueError(f"feasibility fraction must lie in [0, 1), got {feasibility_fraction}")
+    budget = _budget("budget", budget)
+    f = _fraction("feasibility_fraction", feasibility_fraction)
     p, q = _nbar(num_arms)
     top = _floor_mul(1 - f, budget) * q
     cumulative = tuple(-(-top // (p * j)) for j in range(num_arms, 1, -1))
@@ -431,8 +424,7 @@ def uniform_phase(
     The remainder budget mod M is discarded. Returns the number of pulls
     made; ``stats`` is updated in place.
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _budget("budget", budget)
     return _on_row(instance, stats, arm, budget, rng, _RunState.uniform, budget)
 
 
@@ -450,8 +442,7 @@ def apt_phase(
     sqrt(count) * |empirical mean - threshold|, lowest index on ties,
     continuing from whatever statistics ``stats`` already holds.
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    _budget("budget", budget)
     return _on_row(instance, stats, arm, budget, rng, _RunState.apt, budget, threshold)
 
 
@@ -471,8 +462,7 @@ def sample_until_feasible(
     out. Returns the unspent feasibility budget; on a return value > 0
     every attribute of the arm is empirically feasible.
     """
-    if feasibility_budget < 0:
-        raise ValueError("feasibility budget must be non-negative")
+    _budget("feasibility_budget", feasibility_budget)
     return feasibility_budget - _on_row(
         instance, stats, arm, feasibility_budget, rng,
         _RunState.suf, feasibility_budget, threshold,
@@ -502,7 +492,7 @@ def run_fcsr(
     """Feasibility-constrained successive rejects.
 
     K-1 rounds follow ``build_schedule(K, T, f)``, with f the
-    ``feasibility_fraction`` and g the ``apt_fraction``, both in (0, 1). In
+    ``feasibility_fraction`` and g the ``apt_fraction``, both in [0, 1). In
     round r every surviving arm takes floor((1-g) delta_r) pulls plus its
     share of the pool of recycled budget as a uniform pass, floor(g delta_r)
     adaptive thresholding pulls, and a sample-until-feasible pass from its
@@ -515,7 +505,7 @@ def run_fcsr(
     budget, so ``pulls_total <= budget`` always holds. A budget below K*M
     is legal and forces the decision from sparse statistics.
     """
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     f = _fraction("feasibility_fraction", feasibility_fraction)
     g = _fraction("apt_fraction", apt_fraction)
     k = instance.num_arms
@@ -718,7 +708,7 @@ def _us(instance, budget, gens, log=None) -> np.ndarray:
     attribute. Each trial, one per generator, decides on the empirically
     feasible arm with the highest empirical arm mean (lowest index on ties),
     or 0 when no arm looks feasible."""
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     cells = instance.num_arms * instance.num_attributes
     batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
     batch.uniform()
@@ -734,9 +724,10 @@ def _sr(instance, budget, gens, log=None) -> np.ndarray:
     (lowest index on score ties), as :func:`run_fcsr` does, with the
     round's arms compacted once, by :meth:`_Batch.drop`. The survivor is
     returned only if empirically feasible. This is FCSR's loop with the
-    adaptive thresholding and sample-until-feasible budgets at 0.
+    adaptive thresholding and sample-until-feasible budgets at 0: ``run_fcsr``
+    at f = g = 0 gives the same trace bit for bit (``test_fcsr_at_zero_is_sr``).
     """
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
     plan = [(increment // m, (k - r) * m) for r, increment in enumerate(rounds)]
@@ -761,9 +752,10 @@ def _etc(instance, budget, gens, explore_fraction=0.5, log=None) -> np.ndarray:
     candidates: a stable sort on the negated stage-one score ranks them,
     lower arm first on ties. Stage two spreads the remaining budget
     uniformly over the candidates' attributes. The highest-scoring
-    candidate is returned if it looks feasible, else 0.
+    candidate is returned if it looks feasible, else 0. At explore_fraction 0
+    every stage-one score ties, so this is ``us`` on arms 1..min(M, K).
     """
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     explore = _fraction("explore_fraction", explore_fraction)
     k, m = instance.num_arms, instance.num_attributes
     c = min(m, k)
@@ -823,8 +815,8 @@ ALGORITHM_PARAMS = {
 
 def _check_params(name: str, params: dict[str, float]) -> None:
     """Raise ValueError naming an unknown algorithm, each key of ``params``
-    that the algorithm does not read, or a key whose value is not a real
-    number (a bool is not one) in (0, 1): every run keyword is a fraction."""
+    that the algorithm does not read, or a key whose value is no fraction
+    in [0, 1) (:func:`_fraction`): every run keyword is one."""
     if name not in _RUNS:
         raise ValueError(
             f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
@@ -835,9 +827,7 @@ def _check_params(name: str, params: dict[str, float]) -> None:
             f"algorithm {name!r} does not read {unread}; it reads {list(ALGORITHM_PARAMS[name])}"
         )
     for key, value in params.items():
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"algorithm {name!r}: {key} must be a real number, got {value!r}")
-        _fraction(key, value)
+        _fraction(f"algorithm {name!r}: {key}", value)
 
 
 def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence, **params):
@@ -861,7 +851,7 @@ def run_algorithm(
     traced batch of one trial of ``_us``, ``_sr`` or ``_etc``, whose
     docstrings state its rules. Every run tests feasibility against
     ``instance.threshold``. ``ALGORITHM_PARAMS`` lists the keywords each one
-    reads, each a fraction in (0, 1), and any other keyword is an error.
+    reads, each a fraction in [0, 1), and any other keyword is an error.
     """
     _check_params(name, params)
     if name == "fcsr":

@@ -19,6 +19,7 @@ vectorised pass that equals it bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -254,6 +255,13 @@ def _stream_generators(seed: int, stream_ids: Sequence[int]) -> list[Generator]:
     out = _hashmix(np.concatenate([pool, pool]), *_OUTPUT).astype(np.uint64)
     state = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
     return [Generator(PCG64(_State(row))) for row in state]
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int; a ValueError naming ``name`` when it is no integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_generator(rng: RngStream | Generator) -> Generator:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BanditInstance, Bernoulli, oracle
+from .core import BanditInstance, Bernoulli, _integer, oracle
 
 __all__ = [
     "HardnessReport",
@@ -185,15 +185,15 @@ def predict_exponents(
     zero exponents.
 
     Raises:
-        ValueError: if R is not positive and finite, the budget is
-            negative, or the overall hardness is 0 (an unconstrained trivial
-            instance, for which the prediction is vacuous).
+        ValueError: if R is not positive and finite, the budget is not an
+            integer >= 0, or the overall hardness is 0 (an unconstrained
+            trivial instance, for which the prediction is vacuous).
     """
     if not 0.0 < sub_gaussian_r < math.inf:
         raise ValueError(
             f"sub-Gaussian parameter R must be positive and finite, got {sub_gaussian_r}"
         )
-    if budget < 0:
+    if _integer("budget", budget) < 0:
         raise ValueError("budget must be non-negative")
     if report.overall_hardness <= 0.0:
         raise ValueError(

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .algorithms import _check_params, _decisions
-from .core import BanditInstance, Gaussian, _stream_generators, oracle
+from .algorithms import _budget, _check_params, _decisions
+from .core import BanditInstance, Gaussian, _integer, _stream_generators, oracle
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -178,7 +177,7 @@ def confidence_bands(accuracy: float, trials: int) -> tuple[float, float]:
     """
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must lie in [0, 1]")
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise ValueError("trials must be >= 1")
     if accuracy >= 1.0:
         delta = math.inf
@@ -188,13 +187,6 @@ def confidence_bands(accuracy: float, trials: int) -> tuple[float, float]:
     return delta, bernoulli
 
 
-def _integer(name: str, value: Any) -> int:
-    """``value`` as an int; a ValueError naming ``name`` when it is no integer."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: an instance crossed with algorithms and budgets.
@@ -202,12 +194,12 @@ class SweepConfig:
     Args:
         instance: the resolved bandit instance.
         algorithms: stable identifiers from ``ALGORITHM_IDS``.
-        budgets: strictly increasing pull budgets, integers (not bools).
+        budgets: strictly increasing pull budgets, integers >= 0 (not bools).
         trials: Monte-Carlo trials per cell (N), an integer.
         base_seed: root seed, an integer; trial t of cell (alg, T) uses
             stream (base_seed, hash(alg, T, t)).
         params: optional per-algorithm keyword overrides, each a fraction
-            in (0, 1), for algorithms the sweep runs, e.g.
+            in [0, 1), for algorithms the sweep runs, e.g.
             {"fcsr": {"feasibility_fraction": 0.2, "apt_fraction": 0.3},
              "etc": {"explore_fraction": 0.5}}; ``us`` and ``sr`` read none.
             Every run tests against ``instance.threshold``.
@@ -224,7 +216,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        budgets = tuple(_integer("each item of budgets", b) for b in self.budgets)
+        budgets = tuple(_budget("each item of budgets", b) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
@@ -235,8 +227,8 @@ class SweepConfig:
             raise ValueError(f"algorithms lists {repeated} more than once")
         for algorithm in self.algorithms:
             _check_params(algorithm, self.params.get(algorithm, {}))
-        if any(b < 0 for b in self.budgets) or not self.budgets:
-            raise ValueError("budgets must be non-negative and non-empty")
+        if not self.budgets:
+            raise ValueError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
         if self.trials < 1:
@@ -470,7 +462,7 @@ def weighted_log_error_slope(
     slope comes from the same variances, so ``slope + 1.645 * stderr < 0``
     is a one-sided 95% test for error decaying with budget. Requires at
     least two points, finite budgets, every accuracy strictly inside (0, 1)
-    (a NaN accuracy, as a failed cell records, is not) and at least one trial.
+    (a NaN accuracy, as a failed cell records, is not) and trials an integer >= 1.
 
     Returns:
         (slope, stderr).
@@ -483,7 +475,7 @@ def weighted_log_error_slope(
         raise ValueError(f"slope fit needs finite budgets, got {x.tolist()}")
     if not np.all((acc > 0.0) & (acc < 1.0)):
         raise ValueError(f"slope fit needs accuracies strictly inside (0, 1), got {acc.tolist()}")
-    if not trials >= 1:
+    if _integer("trials", trials) < 1:
         raise ValueError(f"slope fit needs trials >= 1, got {trials}")
     y = np.log(1.0 - acc)
     var = acc / (trials * (1.0 - acc))

@@ -26,10 +26,10 @@ from fractions import Fraction
 from fcsr.algorithms import (
     _CHUNK,
     RunTrace,
+    _budget,
     _floor_mul,
     _fraction,
     _RunState,
-    _threshold,
     build_schedule,
 )
 from fcsr.core import _as_generator
@@ -182,7 +182,7 @@ def _uniform_stage(state, arms, budget: int, tau: float) -> list[tuple[int, floa
 
 
 def run_uniform_baseline(instance, budget, rng) -> RunTrace:
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     state = ScalarRunState(instance, _as_generator(rng), budget)
     scored = _uniform_stage(state, range(instance.num_arms), budget, tau)
     return RunTrace(
@@ -196,7 +196,7 @@ def run_uniform_baseline(instance, budget, rng) -> RunTrace:
 def run_sr_baseline(instance, budget, rng) -> RunTrace:
     """FCSR's elimination loop with f = g = 0, whose rounds are uniform
     passes over every live arm."""
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     k = instance.num_arms
     schedule = build_schedule(k, budget, Fraction(0))
     state = ScalarRunState(instance, _as_generator(rng), budget)
@@ -222,7 +222,7 @@ def run_sr_baseline(instance, budget, rng) -> RunTrace:
 
 def run_etc_baseline(instance, budget, rng, explore_fraction=0.5) -> RunTrace:
     k, m = instance.num_arms, instance.num_attributes
-    tau = _threshold(instance, budget)
+    budget, tau = _budget("budget", budget), instance.threshold
     explore = _fraction("explore_fraction", explore_fraction)
     state = ScalarRunState(instance, _as_generator(rng), budget)
     explore_total = _floor_mul(explore, budget)

@@ -1,5 +1,6 @@
 """Algorithm tests: schedule, phases, full runs, budget guard, determinism."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,10 @@ def test_schedule_validation():
         build_schedule(3, -1)
     with pytest.raises(ValueError):
         build_schedule(3, 100, 1.0)
+    with pytest.raises(ValueError, match="num_arms must be an integer, got 2.5"):
+        build_schedule(2.5, 100)
+    with pytest.raises(ValueError, match="budget must be an integer, got 100.5"):
+        build_schedule(3, 100.5)
 
 
 def test_schedule_cache_echoes_each_callers_fraction():
@@ -307,10 +312,12 @@ def test_fcsr_requires_two_arms():
 
 
 def test_fcsr_config_validation():
-    with pytest.raises(ValueError, match="feasibility_fraction"):
-        run_fcsr(SEPARATING, 100, RngStream(0), feasibility_fraction=0.0)
-    with pytest.raises(ValueError, match="apt_fraction"):
-        run_fcsr(SEPARATING, 100, RngStream(0), apt_fraction=1.0)
+    # Each fraction lies in [0, 1) and is a real number; 0 is legal.
+    for bad in (1.0, -0.1, math.nan, "0.2", True):
+        with pytest.raises(ValueError, match="feasibility_fraction"):
+            run_fcsr(SEPARATING, 100, RngStream(0), feasibility_fraction=bad)
+        with pytest.raises(ValueError, match="apt_fraction"):
+            run_fcsr(SEPARATING, 100, RngStream(0), apt_fraction=bad)
     with pytest.raises(ValueError, match="budget"):
         run_fcsr(SEPARATING, -1, RngStream(0))
 
@@ -322,6 +329,10 @@ def test_every_algorithm_rejects_bad_threshold_and_budget(name):
         run_algorithm(name, SEPARATING, 100, RngStream(0), threshold=0.5)
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run_algorithm(name, SEPARATING, -1, RngStream(0))
+    # A budget is an integer: not a float, even a whole one, and not a bool.
+    for budget in (1000.5, 2000.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match=rf"budget must be an integer, got {budget!r}"):
+            run_algorithm(name, SEPARATING, budget, RngStream(0))
 
 
 def test_algorithm_params_are_read_from_the_runs_that_declare_them():
@@ -438,6 +449,8 @@ def test_run_algorithm_dispatch():
 def test_budget_compliance_randomized_small():
     rng = np.random.default_rng(53)
     names = ("fcsr", "us", "sr", "etc")
+    # Run keywords from their own stream, so the instances stay as they were.
+    pick, fractions = np.random.default_rng(54), (0, 0.2, 0.5, 0.9)
     for i in range(400):
         k = int(rng.integers(2, 6))
         m = int(rng.integers(1, 4))
@@ -445,8 +458,10 @@ def test_budget_compliance_randomized_small():
         tau = float(rng.uniform(0.2, 0.8))
         instance = _instance(means, tau, variance=0.2)
         budget = int(rng.integers(0, 400))
+        name = names[i % 4]
+        params = {key: fractions[pick.integers(4)] for key in ALGORITHM_PARAMS[name]}
         trace = run_algorithm(
-            names[i % 4], instance, budget, RngStream(int(rng.integers(1 << 30)))
+            name, instance, budget, RngStream(int(rng.integers(1 << 30))), **params
         )
         assert trace.pulls_total <= budget
         assert trace.pulls_total == sum(trace.pulls_by_phase.values())

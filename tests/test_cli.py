@@ -186,11 +186,13 @@ def test_run_rejects_flags_and_budgets_the_algorithm_cannot_use(tmp_path, capsys
         (["us", "--budget", "500", "--f", "0.3"], "'us' does not read ['feasibility_fraction']"),
         (["sr", "--budget", "500", "--explore-fraction", "0.5"], "'sr' does not read ['explore_fraction']"),
         (["etc", "--budget", "-5"], "budget must be non-negative, got -5"),
-        (["fcsr", "--budget", "500", "--g", "1.5"], "apt_fraction must lie strictly inside (0, 1)"),
+        (["fcsr", "--budget", "500", "--g", "1.0"], "apt_fraction must lie in [0, 1), got 1.0"),
+        (["fcsr", "--budget", "500", "--f", "-0.1"], "feasibility_fraction must lie in [0, 1), got -0.1"),
     ):
         assert main(run + argv) == 2
         assert message in capsys.readouterr().err
     assert main(run + ["fcsr", "--budget", "500", "--f", "0.3", "--g", "0.3"]) == 0
+    assert main(run + ["fcsr", "--budget", "500", "--f", "0", "--g", "0"]) == 0
 
 
 def test_run_names_arm_and_attribute_of_bad_distribution(tmp_path, capsys):
@@ -302,22 +304,25 @@ def test_sweep_config_rejects_bad_params(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params, message",
+    "cases",
     [
-        ({"fcsr": {"threshold": 0.45}}, "algorithm 'fcsr' does not read ['threshold']"),
-        ({"fcsr": {"apt_fraction": 1.5}}, "apt_fraction must lie strictly inside (0, 1), got 1.5"),
-        ({"etc": {"explore_fraction": 0}}, "explore_fraction must lie strictly inside (0, 1), got 0"),
+        [({"fcsr": {"threshold": 0.45}}, "algorithm 'fcsr' does not read ['threshold']")],
+        [({"fcsr": {"apt_fraction": x}}, f"algorithm 'fcsr': apt_fraction must lie in [0, 1), got {x}")
+         for x in (1.0, -0.5)],
+        [({"etc": {"explore_fraction": x}}, f"algorithm 'etc': explore_fraction must lie in [0, 1), got {x}")
+         for x in (1.0, -0.5)],
     ],
     ids=["threshold", "apt-fraction", "explore-fraction"],
 )
-def test_sweep_rejects_a_threshold_or_a_fraction_outside_0_1(tmp_path, capsys, params, message):
+def test_sweep_rejects_a_threshold_or_a_fraction_outside_0_1(tmp_path, capsys, cases):
     """A run reads its threshold from the instance only, so a cell cannot be
-    scored against a threshold its runs did not use; and a fraction out of
-    range fails the load rather than writing NaN cells."""
-    config = _sweep_config(tmp_path, algorithms=["fcsr", "etc"], params=params)
-    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
+    scored against a threshold its runs did not use; and a fraction outside
+    [0, 1) fails the load rather than writing NaN cells."""
+    for params, message in cases:
+        config = _sweep_config(tmp_path, algorithms=["fcsr", "etc"], params=params)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(

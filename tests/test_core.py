@@ -264,6 +264,17 @@ def test_update_index_errors():
     assert stats.total_pulls() == 0
 
 
+def test_phase_functions_take_integer_budgets_only():
+    # A budget is an integer >= 0: a float, even a whole one, or a bool is not.
+    instance = build_synthetic("risky", num_arms=3, num_attributes=2)
+    stats = StatsState.for_instance(instance)
+    for budget in (-1, 2.5, 4.0, True):
+        for call in _phase_calls(instance, stats, 1, budget, np.random.default_rng(0)):
+            with pytest.raises(ValueError, match="budget must be"):
+                call()
+    assert stats.total_pulls() == 0
+
+
 @pytest.mark.parametrize("phase", range(3), ids=["uniform", "apt", "suf"])
 @pytest.mark.parametrize("shape, arm", [((2, 1), 1), ((2, 3), 1), ((3, 2), 3)])
 def test_phase_functions_reject_stats_of_another_shape(phase, shape, arm):

@@ -229,6 +229,25 @@ def test_prediction_linear_in_budget():
     )
 
 
+def test_family_exponents_closed_forms():
+    # 120 T / (ln K H_feas) and 600 T / (ln K max(H_risky, H_mean)), K = 10;
+    # distinct risky and mean indices exercise the max either way round.
+    report = _report_with_overall(100.0)
+    log_k = math.log(10)
+    for risky, mean in ((40.0, 70.0), (70.0, 40.0)):
+        pred = predict_exponents(
+            replace(report, risky_hardness=risky, mean_hardness=mean, feasibility_hardness=30.0),
+            10_000,
+        )
+        assert pred.feasibility_family_exponent == pytest.approx(120 * 10_000 / (log_k * 30), rel=1e-12)
+        assert pred.risky_family_exponent == pytest.approx(600 * 10_000 / (log_k * 70), rel=1e-12)
+    # A zero index leaves its family's exponent open.
+    pred = predict_exponents(report, 10_000)
+    assert pred.feasibility_family_exponent == pytest.approx(120 * 10_000 / (log_k * 100), rel=1e-12)
+    assert pred.risky_family_exponent == math.inf
+    assert predict_exponents(replace(report, feasibility_hardness=0.0), 10_000).feasibility_family_exponent == math.inf
+
+
 def test_prediction_validation():
     report = _report_with_overall(50.0)
     with pytest.raises(ValueError):
@@ -237,6 +256,10 @@ def test_prediction_validation():
         predict_exponents(report, -1, 1.0)
     with pytest.raises(ValueError):
         predict_exponents(_report_with_overall(0.0), 100, 1.0)
+    # A budget is an integer, so no exponent comes out NaN or inf.
+    for budget in (math.nan, math.inf, 100.5, True):
+        with pytest.raises(ValueError, match=rf"budget must be an integer, got {budget!r}"):
+            predict_exponents(report, budget, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,12 @@ def test_sweep_config_rejects_params_that_are_not_numbers():
     [
         ({"budgets": (60, 100.9)}, "each item of budgets must be an integer, got 100.9"),
         ({"budgets": (True, 120)}, "each item of budgets must be an integer, got True"),
+        ({"budgets": (-5, 120)}, "each item of budgets must be non-negative, got -5"),
         ({"trials": 8.0}, "trials must be an integer, got 8.0"),
         ({"trials": True}, "trials must be an integer, got True"),
         ({"base_seed": 99.5}, "base_seed must be an integer, got 99.5"),
     ],
-    ids=["float-budget", "bool-budget", "float-trials", "bool-trials", "float-seed"],
+    ids=["float-budget", "bool-budget", "negative-budget", "float-trials", "bool-trials", "float-seed"],
 )
 def test_sweep_config_rejects_a_count_or_seed_that_is_not_an_integer(overrides, message):
     # int() truncated budget 100.9 to 100 and read True as 1; a float trial
@@ -372,6 +373,9 @@ def test_confidence_bands_boundaries():
         confidence_bands(1.2, 50)
     with pytest.raises(ValueError):
         confidence_bands(0.5, 0)
+    for trials in (math.nan, 2.5, True):
+        with pytest.raises(ValueError, match=rf"trials must be an integer, got {trials!r}"):
+            confidence_bands(0.5, trials)
 
 
 def test_log_error_marker():
@@ -472,8 +476,10 @@ def test_uniform_baseline_error_decays_with_budget():
         ([1000, 2000], [0.6, 0.8], 0, "trials"),
         ([1000, math.inf], [0.6, 0.8], 100, "finite budgets"),
         ([1000, 2000], [0.6, math.nan], 100, "accuracies"),
+        ([1000, 2000], [0.6, 0.8], 2.5, "trials must be an integer"),
+        ([1000, 2000], [0.6, 0.8], True, "trials must be an integer"),
     ],
-    ids=["no-trials", "infinite-budget", "nan-accuracy"],
+    ids=["no-trials", "infinite-budget", "nan-accuracy", "fractional-trials", "bool-trials"],
 )
 def test_slope_fit_rejects_inputs_that_would_give_nan(budgets, accuracies, trials, named):
     with pytest.raises(ValueError, match=named):

@@ -10,6 +10,10 @@ case also checks that a Gaussian trial makes one ``standard_normal`` call
 per run (more only past the batch's bound on pre-drawn normals), a
 Bernoulli trial one ``binomial`` call per uniform stage, and any other trial
 one ``draw_sum`` per cell.
+
+The last tests tie FCSR's one-arm passes and elimination loop to ``sr``'s
+batch, and ``etc`` to ``us``: each run, with the fractions that switch its
+extra stages off at 0, gives the other's trace bit for bit.
 """
 
 import functools
@@ -17,6 +21,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcsr.algorithms as algorithms
 from fcsr.algorithms import (
@@ -25,10 +31,11 @@ from fcsr.algorithms import (
     _decisions,
     build_schedule,
     run_algorithm,
+    run_fcsr,
     uniform_phase,
 )
 from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, RngStream, StatsState
-from fcsr.harness import build_synthetic, trial_stream_id
+from fcsr.harness import SYNTHETIC_NAMES, build_synthetic, trial_stream_id
 from scalar_kernel import REFERENCE_RUNS, ScalarRunState
 
 FAMILIES = ("gaussian", "bernoulli", "mixed", "empirical")
@@ -353,3 +360,58 @@ def test_batch_results_do_not_depend_on_the_chunking():
             assert np.array_equal(np.concatenate(parts), whole), (algorithm, splits)
         singles = [run_algorithm(algorithm, instance, 900, rng).decision for rng in rngs]
         assert whole.tolist() == singles
+
+
+# FCSR with no adaptive budget, and etc with no exploration, are other runs.
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    k=st.integers(2, 6),
+    m=st.integers(1, 4),
+    budget=st.integers(0, 30_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fcsr_at_zero_is_sr(family, k, m, budget, seed):
+    """FCSR at f = g = 0 makes only uniform passes, round by round, and gives
+    ``sr``'s trace bit for bit: decision, elimination order, scores as hex
+    and pulls, with no adaptive thresholding or sample-until-feasible pull.
+    Its one-arm passes and elimination loop share no code with ``sr``'s
+    batch."""
+    instance = _instance(family, k, m, seed)
+    fcsr = _run_hex(functools.partial(run_fcsr, feasibility_fraction=0, apt_fraction=0),
+                    instance, budget, seed)
+    sr = _run_hex(functools.partial(run_algorithm, "sr"), instance, budget, seed)
+    assert fcsr[2] == {"uniform": sr[2]["uniform"], "apt": 0, "suf": 0}
+    assert fcsr[:2] + fcsr[3:] == sr[:2] + sr[3:]
+
+
+def test_fcsr_at_zero_decides_as_sr_in_a_sweep():
+    """The same identity on the path a sweep runs, at T=90000 on each
+    synthetic instance."""
+    for name in SYNTHETIC_NAMES:
+        instance = build_synthetic(name)
+        rngs = [RngStream(5, trial_stream_id("sr", 90_000, t)) for t in range(20)]
+        fcsr = _decisions("fcsr", instance, 90_000, rngs, feasibility_fraction=0, apt_fraction=0)
+        assert fcsr.tolist() == _decisions("sr", instance, 90_000, rngs).tolist(), name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_etc_at_zero_exploration_is_us_on_the_first_arms(family):
+    """With no stage-one pulls every stage-one score ties, so ``etc`` keeps
+    arms 1..min(M, K) and spends the whole budget on them as ``us`` does on
+    an instance of just those arms: the same decision, pulls, final scores
+    and generator state after."""
+    for k, m in ((2, 1), (4, 3), (5, 4), (3, 6)):
+        instance = _instance(family, k, m, 10 * k + m)
+        first = BanditInstance(instance.arms[:min(m, k)], instance.threshold)
+        for budget in (0, k * m - 1, 3 * k * m + 7, 2001, 30_000):
+            for seed in range(5):
+                gens = [np.random.default_rng([seed, budget]) for _ in range(2)]
+                etc = run_algorithm("etc", instance, budget, gens[0], explore_fraction=0)
+                us = run_algorithm("us", first, budget, gens[1])
+                assert etc.pulls_by_phase == {"explore": 0, "commit": us.pulls_total}
+                scores = [[(i, s.hex()) for i, s in t.per_round_scores[-1]] for t in (etc, us)]
+                assert etc.decision == us.decision and scores[0] == scores[1]
+                assert gens[0].bit_generator.state == gens[1].bit_generator.state
