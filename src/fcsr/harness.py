@@ -15,15 +15,12 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from .algorithms import _budget, _check_params, _decisions
 from .core import BanditInstance, Gaussian, _integer, _stream_generators, oracle
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 __all__ = [
     "GAUSSIAN_VARIANCE",
@@ -244,7 +241,10 @@ class SweepConfig:
 class CellResult:
     """Aggregated outcome of one (algorithm, budget) cell.
 
-    ``accuracy`` is exactly 1 - error_count / trials. ``wall_time`` is
+    ``accuracy`` is exactly 1 - error_count / trials. ``wall_time`` is the
+    cell's share of its sweep, in seconds: from the previous cell's
+    completion (the first cell's: from the sweep's start, before any task is
+    queued) to its own, so the cells' times add up to the sweep's. It is
     excluded from equality so identical sweeps compare equal.
     """
 
@@ -351,19 +351,25 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (algorithm, budget) cell for ``config.trials`` trials.
 
     Trials are independent and stream-isolated, so the result is identical
-    for any ``workers`` value and any execution order. A worker that dies
-    breaks the whole process pool: the pool is then started again and the
-    cell run once more, with a note saying so. A cell whose run raises
-    otherwise, or breaks the new pool too, is recorded with a note and NaN
-    statistics instead of aborting the sweep.
+    for any ``workers`` value and any execution order. With a pool, every
+    cell's batches are queued at once and collected in cell order, so no
+    worker waits at a cell boundary; a cell's ``wall_time`` is then the time
+    from the previous cell's completion (or the sweep's start) to its own,
+    and the cells' times add up to the sweep's. A worker that dies breaks
+    the whole process pool: the pool is then started again, the cell being
+    collected and every later one queued once more, and that cell's note
+    says so. A cell whose run raises otherwise, or breaks the new pool too,
+    is recorded with a note and NaN statistics instead of aborting the sweep.
     """
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
     truth = oracle(config.instance)
     min_pulls = config.instance.num_arms * config.instance.num_attributes
+    grid = [(algorithm, budget) for algorithm in config.algorithms for budget in config.budgets]
     cells = []
     executor = None
     broken: tuple[type[Exception], ...] = ()  # what a crashed worker raises
+    queued: list[list] = []  # each cell's futures, in cell order
     if workers > 1:
         # Imported here, so that a one-worker sweep does not load them.
         from concurrent.futures import ProcessPoolExecutor
@@ -376,50 +382,64 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
         executor = start_pool()
         broken = (BrokenProcessPool,)
+
+    def tasks(c: int) -> list[tuple]:
+        return _cell_tasks(config, truth.best_arm, workers, *grid[c])
+
+    def cell_errors(c: int) -> int:
+        """Wrong decisions in cell ``c``; with a pool, every cell's tasks are
+        queued first."""
+        if executor is None:
+            return sum(_count_errors(config.instance, *task) for task in tasks(c))
+        while len(queued) < len(grid):
+            queued.append([executor.submit(_count_errors_task, task) for task in tasks(len(queued))])
+        return sum(future.result() for future in queued[c])
+
     try:
-        for algorithm in config.algorithms:
-            params = dict(config.params.get(algorithm, {}))
-            for budget in config.budgets:
-                start = time.perf_counter()
-                note = "" if budget >= min_pulls else (
-                    f"budget below one pull per attribute ({min_pulls})"
-                )
-                cell = (config, truth.best_arm, algorithm, budget, params)
-                retried = ""
+        done = time.perf_counter()
+        for c, (algorithm, budget) in enumerate(grid):
+            note = "" if budget >= min_pulls else (
+                f"budget below one pull per attribute ({min_pulls})"
+            )
+            retried = ""
+            try:
                 try:
-                    try:
-                        errors = _run_cell(*cell, executor, workers)
-                    except broken:
-                        executor.shutdown()
-                        executor = start_pool()
-                        retried = "retried after a worker crash"
-                        errors = _run_cell(*cell, executor, workers)
-                    notes = (note, retried)
-                except Exception as exc:  # recorded per-cell, not fatal
-                    errors, notes = -1, (retried, f"failed: {exc}")
-                if errors < 0:
-                    accuracy = log_err = delta = bernoulli = math.nan
-                else:
-                    accuracy = 1.0 - errors / config.trials
-                    log_err = log_error(accuracy)
-                    delta, bernoulli = confidence_bands(accuracy, config.trials)
-                cells.append(
-                    CellResult(
-                        algorithm=algorithm,
-                        budget=budget,
-                        trials=config.trials,
-                        error_count=errors,
-                        accuracy=accuracy,
-                        log_error=log_err,
-                        delta_band=delta,
-                        bernoulli_ci=bernoulli,
-                        wall_time=time.perf_counter() - start,
-                        note="; ".join(filter(None, notes)),
-                    )
+                    errors = cell_errors(c)
+                except broken:
+                    executor.shutdown()
+                    executor = start_pool()
+                    del queued[c:]
+                    retried = "retried after a worker crash"
+                    errors = cell_errors(c)
+                notes = (note, retried)
+            except Exception as exc:  # recorded per-cell, not fatal
+                errors, notes = -1, (retried, f"failed: {exc}")
+            start, done = done, time.perf_counter()
+            if errors < 0:
+                accuracy = log_err = delta = bernoulli = math.nan
+            else:
+                accuracy = 1.0 - errors / config.trials
+                log_err = log_error(accuracy)
+                delta, bernoulli = confidence_bands(accuracy, config.trials)
+            cells.append(
+                CellResult(
+                    algorithm=algorithm,
+                    budget=budget,
+                    trials=config.trials,
+                    error_count=errors,
+                    accuracy=accuracy,
+                    log_error=log_err,
+                    delta_band=delta,
+                    bernoulli_ci=bernoulli,
+                    wall_time=done - start,
+                    note="; ".join(filter(None, notes)),
                 )
+            )
     finally:
         if executor is not None:
-            executor.shutdown()
+            # Queued tasks are dropped, so that an interrupted sweep returns
+            # without running the rest of the grid.
+            executor.shutdown(cancel_futures=True)
     return SweepResult(
         instance_name=config.instance_name,
         base_seed=config.base_seed,
@@ -428,26 +448,18 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     )
 
 
-def _run_cell(
-    config: SweepConfig,
-    best_arm: int,
-    algorithm: str,
-    budget: int,
-    params: dict[str, float],
-    executor: Executor | None,
-    workers: int,
-) -> int:
-    """Wrong decisions in one cell, its trials cut into batches of at most
+def _cell_tasks(
+    config: SweepConfig, best_arm: int, workers: int, algorithm: str, budget: int
+) -> list[tuple]:
+    """One cell's tasks: its trials cut into batches of at most
     ``_MAX_BATCH``, and with a pool of at most a quarter of a worker's share."""
     n = config.trials
-    chunk = _MAX_BATCH if executor is None else min(_MAX_BATCH, math.ceil(n / (workers * 4)))
-    tasks = [
+    chunk = _MAX_BATCH if workers == 1 else min(_MAX_BATCH, math.ceil(n / (workers * 4)))
+    params = dict(config.params.get(algorithm, {}))
+    return [
         (best_arm, algorithm, budget, params, config.base_seed, lo, min(lo + chunk, n))
         for lo in range(0, n, chunk)
     ]
-    if executor is None:
-        return sum(_count_errors(config.instance, *task) for task in tasks)
-    return sum(executor.map(_count_errors_task, tasks))
 
 
 def weighted_log_error_slope(

@@ -1,6 +1,7 @@
 """The verdicts of tools/ab_bench.py on paired parent-against-change runs."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -54,3 +55,15 @@ def test_source_size_counts_lines_and_exported_names():
                         capture_output=True, text=True, check=True)
     total = int(wc.stdout.splitlines()[-1].split()[0])
     assert ab_bench.source_size(ab_bench.ROOT) == (total, len(fcsr.__all__))
+
+
+def test_the_whole_sweep_row_reads_each_runs_result_file(tmp_path):
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    for seed, rate in zip(range(1, 6), (1100.0, 1150.0, 1140.0, 1160.0, 1120.0)):
+        doc = {"correct": True, "median_over_repetitions": {"trials_per_s": rate, "cpu_ms_per_trial": 0.5}}
+        (out / f"portfolio-pool-seed{seed}-trace0.json").write_text(json.dumps(doc), encoding="utf-8")
+    ref = [ab_bench.whole_sweep(tmp_path, "portfolio-pool", seed) for seed in range(1, 6)]
+    assert ref == [1100.0, 1150.0, 1140.0, 1160.0, 1120.0]
+    line = ab_bench.row("sweep trials/s", ref, [x * 1.25 for x in ref])
+    assert line.split() == ["sweep", "trials/s", "1140", "[1120,", "1150]", "1425", "[1400,", "1437.5]", "1.250"]

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import re
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -222,6 +223,134 @@ def test_sweep_survives_a_worker_crash(tmp_path):
     assert notes == ["retried after a worker crash"] + [""] * 5
     assert [replace(cell, note="") for cell in parallel.cells] == list(serial.cells)
     assert all(cell.error_count >= 0 for cell in serial.cells)
+
+
+@dataclass(frozen=True)
+class _CrashOnceAt(Bernoulli):
+    """A ``_CrashOnce`` that only a block sum of ``size`` pulls sets off, and
+    that kills its worker only once the file ``gate`` exists (or a minute
+    has passed). The gate lets a test first collect every cell queued ahead
+    of the one that draws such blocks."""
+
+    flag: str = ""
+    parent: int = 0
+    size: int = 0
+    gate: str = ""
+
+    def draw_sum(self, n, gen):
+        if n == self.size and os.getpid() != self.parent:
+            try:
+                open(self.flag, "x").close()
+            except FileExistsError:
+                pass
+            else:
+                deadline = time.monotonic() + 60.0
+                while not os.path.exists(self.gate) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+        return super().draw_sum(n, gen)
+
+
+def test_sweep_survives_a_worker_crash_in_a_later_cell(tmp_path, monkeypatch):
+    """A worker dies in the second cell, while later cells wait in the queue:
+    only that cell says it was retried, and every cell equals the one-worker
+    sweep's. Blocks of 10 pulls are drawn first by cell (us, 40)."""
+    flag, gate = tmp_path / "crashed", tmp_path / "first-cell-collected"
+    crash = _CrashOnceAt(0.7, flag=str(flag), parent=os.getpid(), size=10, gate=str(gate))
+    instance = BanditInstance(
+        arms=((crash, Bernoulli(0.6)), (Bernoulli(0.8), Bernoulli(0.4))), threshold=0.5
+    )
+    config = SweepConfig(
+        instance=instance,
+        algorithms=("us", "sr", "etc"),
+        budgets=(20, 40),
+        trials=12,
+        base_seed=3,
+        instance_name="crash-later",
+    )
+    bands = harness.confidence_bands
+
+    def open_gate(*args):  # called once a cell has been collected
+        gate.touch()
+        return bands(*args)
+
+    monkeypatch.setattr(harness, "confidence_bands", open_gate)
+    parallel = run_sweep(config, workers=2)
+    assert flag.exists()
+    serial = run_sweep(config, workers=1)
+    notes = [cell.note for cell in parallel.cells]
+    assert notes == ["", "retried after a worker crash"] + [""] * 4
+    assert [replace(cell, note="") for cell in parallel.cells] == list(serial.cells)
+
+
+@dataclass(frozen=True)
+class _FailAt(Bernoulli):
+    """A Bernoulli attribute that raises on a block sum of ``size`` pulls."""
+
+    size: int = 0
+
+    def draw_sum(self, n, gen):
+        if n == self.size:
+            raise ValueError(f"no block of {n} pulls")
+        return super().draw_sum(n, gen)
+
+
+def test_a_failing_task_fails_only_its_own_cell():
+    # Blocks of 15 pulls are drawn by cell (us, 60) alone, the second of four.
+    instance = BanditInstance(
+        arms=((_FailAt(0.7, size=15), Bernoulli(0.6)), (Bernoulli(0.8), Bernoulli(0.4))),
+        threshold=0.5,
+    )
+    config = SweepConfig(
+        instance=instance, algorithms=("us", "etc"), budgets=(20, 60), trials=12, base_seed=3
+    )
+    parallel = run_sweep(config, workers=2)
+    assert [cell.note for cell in parallel.cells] == ["", "failed: no block of 15 pulls", "", ""]
+    assert parallel.cell("us", 60).error_count == -1
+    assert all(cell.error_count >= 0 for cell in parallel.cells if not cell.note)
+    assert parallel == run_sweep(config, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_wall_times_split_the_sweep(workers):
+    config = _tiny_config(algorithms=("fcsr", "sr", "us", "etc"), trials=20)
+    start = time.perf_counter()
+    result = run_sweep(config, workers=workers)
+    elapsed = time.perf_counter() - start
+    assert all(cell.wall_time >= 0.0 for cell in result.cells)
+    assert sum(cell.wall_time for cell in result.cells) <= elapsed
+
+
+@dataclass(frozen=True)
+class _Marked(Bernoulli):
+    """A Bernoulli attribute whose every block sum takes ``pause`` seconds
+    and leaves a file named after its block size in ``folder``."""
+
+    folder: str = ""
+    pause: float = 0.0
+
+    def draw_sum(self, n, gen):
+        time.sleep(self.pause)
+        open(os.path.join(self.folder, str(n)), "a").close()
+        return super().draw_sum(n, gen)
+
+
+def test_an_interrupted_pool_sweep_drops_its_queued_tasks(tmp_path, monkeypatch):
+    # One arm, one attribute and one trial a cell: each cell is one task that
+    # draws one block of ``budget`` pulls, so each task leaves its own file.
+    instance = BanditInstance(arms=((_Marked(0.7, folder=str(tmp_path), pause=0.05),),), threshold=0.5)
+    budgets = tuple(range(10, 250, 10))
+    config = SweepConfig(instance=instance, algorithms=("us",), budgets=budgets, trials=1, base_seed=3)
+
+    def interrupt(*args):  # called once the first cell has been collected
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "confidence_bands", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(config, workers=2)
+    ran = {int(path.name) for path in tmp_path.iterdir()}
+    assert budgets[0] in ran
+    assert len(ran) < len(budgets)
 
 
 def test_sweep_counts_are_integers():

@@ -18,10 +18,15 @@ pairs the change won, and a verdict against the metric's declared bound:
   bound, and not every run of the change beats every run of the ref;
 * ``ok``: otherwise.
 
-It also prints each side's source size: the lines of ``src/fcsr/*.py`` and
-the number of names ``fcsr`` exports. Each run's metrics go to stderr as it
-ends. The script exits 1 when a metric regressed, or when a run did not
-read ``correct=true`` with 0 failed, and names the runs that did not.
+One more row, informational and given no verdict, holds each side's
+whole-sweep throughput: ``median_over_repetitions.trials_per_s`` of each
+run's result file, the trials over the summed cell times of one
+repetition, where the benchmark's ``trials_per_s`` sums each cell's fastest
+time over the repetitions. It also prints each side's source size: the
+lines of ``src/fcsr/*.py`` and the number of names ``fcsr`` exports. Each
+run's metrics go to stderr as it ends. The script exits 1 when a metric
+regressed, or when a run did not read ``correct=true`` with 0 failed, and
+names the runs that did not.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ def bench(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def whole_sweep(checkout: Path, workload: str, seed: int) -> float:
+    """``median_over_repetitions.trials_per_s`` of the result file that the
+    untraced run of ``workload`` at ``seed`` left in ``checkout``."""
+    path = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))["median_over_repetitions"]["trials_per_s"]
+
+
 def source_size(checkout: Path) -> tuple[int, int]:
     """(lines of ``src/fcsr/*.py``, ``len(fcsr.__all__)``) of ``checkout``,
     the names read in a fresh interpreter that imports its ``src``."""
@@ -68,6 +80,14 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile)."""
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def row(name: str, ref: list[float], new: list[float]) -> str:
+    """A table row's name, each side's median and quartiles, and the
+    change's median over the ref's."""
+    (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
+    ref_col, new_col = f"{r2:.5g} [{r1:.5g}, {r3:.5g}]", f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
+    return f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f}"
 
 
 def wins(ref: list[float], new: list[float], higher: bool) -> int:
@@ -108,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
                 result = bench(sides[side], args.workload, seed)
-                runs[side].append({"seed": seed, **result})
+                sweep = whole_sweep(sides[side], args.workload, seed)
+                runs[side].append({"seed": seed, "whole_sweep": sweep, **result})
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
@@ -125,13 +146,12 @@ def main(argv: list[str] | None = None) -> int:
         ref = [r["metrics"][name]["value"] for r in runs["ref"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         higher = metric["better"] == "higher"
-        won = wins(ref, new, higher)
-        (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
-        ref_col, new_col = f"{r2:.5g} [{r1:.5g}, {r3:.5g}]", f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
         mark = verdict(ref, new, higher, metric["bound"])
         if mark == "regressed":
             regressed.append(name)
-        print(f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f} {won:>2}/{len(seeds):<3} {mark}")
+        print(f"{row(name, ref, new)} {wins(ref, new, higher):>2}/{len(seeds):<3} {mark}")
+    ref, new = ([r["whole_sweep"] for r in runs[side]] for side in ("ref", "change"))
+    print(f"{row('sweep trials/s', ref, new)} informational, no verdict")
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if wrong:
         print(f"runs not correct: {wrong}")
