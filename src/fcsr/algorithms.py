@@ -813,10 +813,11 @@ ALGORITHM_PARAMS = {
 }
 
 
-def _check_params(name: str, params: dict[str, float]) -> None:
-    """Raise ValueError naming an unknown algorithm, each key of ``params``
-    that the algorithm does not read, or a key whose value is no fraction
-    in [0, 1) (:func:`_fraction`): every run keyword is one."""
+def _check_params(name: str, params: dict[str, float]) -> dict[str, Fraction]:
+    """The exact value of each of ``params`` (:func:`_fraction`: every run
+    keyword is a fraction in [0, 1)); a ValueError names an unknown
+    algorithm, each key that the algorithm does not read, or a key whose
+    value is no such fraction."""
     if name not in _RUNS:
         raise ValueError(
             f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"
@@ -826,15 +827,14 @@ def _check_params(name: str, params: dict[str, float]) -> None:
         raise ValueError(
             f"algorithm {name!r} does not read {unread}; it reads {list(ALGORITHM_PARAMS[name])}"
         )
-    for key, value in params.items():
-        _fraction(f"algorithm {name!r}: {key}", value)
+    return {key: _fraction(f"algorithm {name!r}: {key}", value) for key, value in params.items()}
 
 
 def _decisions(name: str, instance: BanditInstance, budget: int, rngs: Sequence, **params):
     """The decision of :func:`run_algorithm` from each of ``rngs``, run as
     one batch."""
-    _check_params(name, params)
-    return _RUNS[name](instance, budget, [_as_generator(rng) for rng in rngs], **params)
+    fractions = _check_params(name, params)
+    return _RUNS[name](instance, budget, [_as_generator(rng) for rng in rngs], **fractions)
 
 
 def run_algorithm(
@@ -853,7 +853,7 @@ def run_algorithm(
     ``instance.threshold``. ``ALGORITHM_PARAMS`` lists the keywords each one
     reads, each a fraction in [0, 1), and any other keyword is an error.
     """
-    _check_params(name, params)
+    fractions = _check_params(name, params)
     if name == "fcsr":
-        return run_fcsr(instance, budget, rng, **params)
-    return _one_trial(_RUNS[name], _PHASES[name], instance, budget, rng, **params)
+        return run_fcsr(instance, budget, rng, **fractions)
+    return _one_trial(_RUNS[name], _PHASES[name], instance, budget, rng, **fractions)

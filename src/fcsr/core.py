@@ -113,15 +113,12 @@ class Empirical:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("Empirical distribution needs a non-empty value sequence")
-        vals = tuple(map(float, self.values))
-        # One pass; a NaN fails both comparisons.
-        if not all(0.0 <= v <= 1.0 for v in vals):
+        array = np.fromiter(self.values, dtype=np.float64, count=len(self.values))
+        # A NaN fails both comparisons.
+        if not ((array >= 0.0) & (array <= 1.0)).all():
             raise ValueError("Empirical values must be finite and lie in [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", tuple(array.tolist()))
+        object.__setattr__(self, "_array", array)
 
     @cached_property
     def _probs(self) -> np.ndarray:

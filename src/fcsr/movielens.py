@@ -15,7 +15,7 @@ commas).
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -76,11 +76,13 @@ class RatingsCorpus:
         return len(self.ratings)
 
     def ratings_for(self, movie_id: int) -> np.ndarray:
+        """The movie's ratings in file order; empty for an unrated movie."""
         if self._by_movie is None:
-            grouped: dict[int, list[float]] = defaultdict(list)
-            for m, r in zip(self.movie_ids, self.ratings):
-                grouped[int(m)].append(float(r))
-            self._by_movie = {m: np.asarray(v) for m, v in grouped.items()}
+            # A stable sort keeps each movie's ratings in file order.
+            order = np.argsort(self.movie_ids, kind="stable")
+            ids, starts = np.unique(self.movie_ids[order], return_index=True)
+            groups = np.split(self.ratings[order], starts[1:])
+            self._by_movie = dict(zip(ids.tolist(), groups))
         return self._by_movie.get(movie_id, np.empty(0))
 
     def rating_count(self, movie_id: int) -> int:

@@ -69,9 +69,9 @@ def _typed_items(value: Any, kind: type, what: str) -> tuple:
     """The items of the JSON array ``value``, each of the JSON type ``kind``,
     as a tuple; a ``ValueError`` names ``what`` and the first bad item."""
     types, name = _JSON_TYPES[kind]
-    bad = [item for item in _typed(value, list, what) if type(item) not in types]
-    if bad:
-        raise ValueError(f"each item of {what} must be {name}, got {bad[0]!r}")
+    if not set(map(type, _typed(value, list, what))).issubset(types):
+        bad = next(item for item in value if type(item) not in types)
+        raise ValueError(f"each item of {what} must be {name}, got {bad!r}")
     return tuple(value)
 
 
@@ -160,9 +160,9 @@ def instance_from_dict(doc: Any) -> BanditInstance:
 
 
 def write_instance(instance: BanditInstance, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(instance), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write ``instance`` as one line of JSON: with no ``indent``, json's C
+    encoder writes it, about 3x faster than the indented form."""
+    Path(path).write_text(json.dumps(instance_to_dict(instance)) + "\n", encoding="utf-8")
 
 
 def read_instance(path: str | Path) -> BanditInstance:

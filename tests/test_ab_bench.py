@@ -67,3 +67,23 @@ def test_the_whole_sweep_row_reads_each_runs_result_file(tmp_path):
     assert ref == [1100.0, 1150.0, 1140.0, 1160.0, 1120.0]
     line = ab_bench.row("sweep trials/s", ref, [x * 1.25 for x in ref])
     assert line.split() == ["sweep", "trials/s", "1140", "[1120,", "1150]", "1425", "[1400,", "1437.5]", "1.250"]
+
+
+def test_the_setup_rows_read_each_runs_ingests_and_repetitions(tmp_path):
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    doc = {
+        "median_over_repetitions": {"trials_per_s": 1140.0},
+        "ingests": [{"wall_s": 0.19}, {"wall_s": 0.17}, {"wall_s": 0.18}],
+        "repetitions": [{"setup_s": 0.14}, {"setup_s": 0.12}, {"setup_s": 0.13}, {"setup_s": 0.15}],
+    }
+    (out / "portfolio-pool-seed1-trace0.json").write_text(json.dumps(doc), encoding="utf-8")
+    (out / "fcsr-risky-seed1-trace0.json").write_text(json.dumps({**doc, "ingests": []}), encoding="utf-8")
+    parts = ab_bench.setup_parts(tmp_path, "portfolio-pool", 1)
+    assert parts == {"ingest wall_s": 0.18, "sweep setup_s": pytest.approx(0.135)}
+    # A workload that ingests nothing has no ingest row.
+    assert ab_bench.setup_parts(tmp_path, "fcsr-risky", 1) == {"sweep setup_s": pytest.approx(0.135)}
+    line = ab_bench.row("ingest wall_s", [0.18, 0.2, 0.19], [0.09, 0.1, 0.095])
+    assert line.split() == [
+        "ingest", "wall_s", "0.19", "[0.185,", "0.195]", "0.095", "[0.0925,", "0.0975]", "0.500",
+    ]

@@ -369,6 +369,13 @@ def _misspelt_attribute_labels(doc):
     return doc
 
 
+def _empirical_values(*values):
+    def spoil(doc):
+        doc["arms"][0]["attributes"][0] = {"kind": "empirical", "values": list(values)}
+        return doc
+    return spoil
+
+
 def _bernoulli_with_variance(doc):
     doc["arms"][1]["attributes"][1] = {"kind": "bernoulli", "p": 0.6, "variance": 0.3}
     return doc
@@ -389,10 +396,19 @@ def _bernoulli_with_variance(doc):
         (lambda doc: {**doc, "attribute_labels": ""}, "attribute_labels must be a JSON array, got ''"),
         (lambda doc: {**doc, "attribute_labels": 0}, "attribute_labels must be a JSON array, got 0"),
         (lambda doc: {**doc, "attribute_labels": None}, "attribute_labels must be a JSON array, got None"),
+        (
+            _empirical_values(0.2, "0.5", True, 0.7),
+            "arm 1 attribute 1: each item of values must be a number, got '0.5'",
+        ),
+        (
+            _empirical_values(0.2, 1, True, "0.5"),
+            "arm 1 attribute 1: each item of values must be a number, got True",
+        ),
     ],
     ids=[
         "mean", "attributes", "top-level-list", "arm-label", "attribute-labels", "bernoulli-variance",
         "attribute-labels-empty-string", "attribute-labels-zero", "attribute-labels-null",
+        "empirical-values-string", "empirical-values-bool",
     ],
 )
 def test_instance_document_names_a_value_of_the_wrong_type(tmp_path, capsys, spoil, message):

@@ -431,6 +431,13 @@ def test_instance_validation():
         BanditInstance(
             arms=((Bernoulli(0.5),),), threshold=0.5, arm_labels=("a", "b")
         )
+    # Empirical values lie in [0, 1], both ends included.
+    for bad in (-0.1, 1.0000001, -math.inf):
+        with pytest.raises(ValueError, match="Empirical values"):
+            Empirical((0.5, bad))
+    edges = Empirical((0.0, -0.0, 1.0))
+    assert [math.copysign(1.0, v) for v in edges.values] == [1.0, -1.0, 1.0]
+    assert edges._array.tolist() == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,23 @@ def _corpus_with_counts(tmp_path, counts, rating=4.0):
     return write_corpus(tmp_path, rows, movies)
 
 
+def test_each_movie_keeps_its_ratings_in_file_order(tmp_path):
+    # Two movies' rows interleave, and each movie's ratings cycle through
+    # the scale, so any reordering within a movie shows.
+    movie_of = [1 if i % 3 else 2 for i in range(300)]
+    stars = [0.5 * (1 + (7 * i) % 10) for i in range(300)]
+    rows = [f"{i},{m},{r},{i}" for i, (m, r) in enumerate(zip(movie_of, stars))]
+    corpus = parse_corpus(*write_corpus(tmp_path, rows, MOVIES))
+    in_file_order = {movie: [r for m, r in zip(movie_of, stars) if m == movie] for movie in (1, 2)}
+    for movie, expected in in_file_order.items():
+        assert corpus.ratings_for(movie).tolist() == expected
+    assert corpus.ratings_for(99).tolist() == []
+    spec = PortfolioSpec(genres=("Comedy", "Action"), arms=({"Comedy": 1, "Action": 2},), min_ratings=1)
+    comedy, action = build_instance(corpus, spec).arms[0]
+    assert comedy.values == tuple(r / 5.0 for r in in_file_order[1])
+    assert action.values == tuple(r / 5.0 for r in in_file_order[2])
+
+
 def test_min_ratings_boundary_inclusive(tmp_path):
     ratings, movies = _corpus_with_counts(tmp_path, {1: 800, 2: 800})
     corpus = parse_corpus(ratings, movies)

@@ -18,11 +18,19 @@ pairs the change won, and a verdict against the metric's declared bound:
   bound, and not every run of the change beats every run of the ref;
 * ``ok``: otherwise.
 
-One more row, informational and given no verdict, holds each side's
-whole-sweep throughput: ``median_over_repetitions.trials_per_s`` of each
-run's result file, the trials over the summed cell times of one
-repetition, where the benchmark's ``trials_per_s`` sums each cell's fastest
-time over the repetitions. It also prints each side's source size: the
+Three more rows, informational and given no verdict, read each run's
+result file:
+
+* ``sweep trials/s``, the whole-sweep throughput
+  ``median_over_repetitions.trials_per_s``: the trials over the summed cell
+  times of one repetition, where the benchmark's ``trials_per_s`` sums each
+  cell's fastest time over the repetitions;
+* ``ingest wall_s``, the median of ``ingests[*].wall_s``, for a workload
+  that ingests ratings;
+* ``sweep setup_s``, the median of ``repetitions[*].setup_s``.
+
+The last two add up to ``setup_s``, so a change in it shows which command
+it came from. The script also prints each side's source size: the
 lines of ``src/fcsr/*.py`` and the number of names ``fcsr`` exports. Each
 run's metrics go to stderr as it ends. The script exits 1 when a metric
 regressed, or when a run did not read ``correct=true`` with 0 failed, and
@@ -59,11 +67,27 @@ def bench(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def whole_sweep(checkout: Path, workload: str, seed: int) -> float:
-    """``median_over_repetitions.trials_per_s`` of the result file that the
-    untraced run of ``workload`` at ``seed`` left in ``checkout``."""
+def result_file(checkout: Path, workload: str, seed: int) -> dict:
+    """The result file that the untraced run of ``workload`` at ``seed``
+    left in ``checkout``, parsed."""
     path = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(path.read_text(encoding="utf-8"))["median_over_repetitions"]["trials_per_s"]
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def whole_sweep(checkout: Path, workload: str, seed: int) -> float:
+    """``median_over_repetitions.trials_per_s`` of that run's result file."""
+    return result_file(checkout, workload, seed)["median_over_repetitions"]["trials_per_s"]
+
+
+def setup_parts(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """The parts of that run's ``setup_s``: ``ingest wall_s``, when the run
+    ingested, and ``sweep setup_s``, as the module docstring says."""
+    doc = result_file(checkout, workload, seed)
+    parts = {}
+    if doc["ingests"]:
+        parts["ingest wall_s"] = statistics.median(i["wall_s"] for i in doc["ingests"])
+    parts["sweep setup_s"] = statistics.median(r["setup_s"] for r in doc["repetitions"])
+    return parts
 
 
 def source_size(checkout: Path) -> tuple[int, int]:
@@ -128,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
                 result = bench(sides[side], args.workload, seed)
-                sweep = whole_sweep(sides[side], args.workload, seed)
-                runs[side].append({"seed": seed, "whole_sweep": sweep, **result})
+                informational = {"sweep trials/s": whole_sweep(sides[side], args.workload, seed),
+                                 **setup_parts(sides[side], args.workload, seed)}
+                runs[side].append({"seed": seed, "informational": informational, **result})
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
@@ -150,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         if mark == "regressed":
             regressed.append(name)
         print(f"{row(name, ref, new)} {wins(ref, new, higher):>2}/{len(seeds):<3} {mark}")
-    ref, new = ([r["whole_sweep"] for r in runs[side]] for side in ("ref", "change"))
-    print(f"{row('sweep trials/s', ref, new)} informational, no verdict")
+    for name in runs["ref"][0]["informational"]:
+        ref, new = ([r["informational"][name] for r in runs[side]] for side in ("ref", "change"))
+        print(f"{row(name, ref, new)} informational, no verdict")
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if wrong:
         print(f"runs not correct: {wrong}")
