@@ -164,16 +164,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.config}: a sweep config must be a JSON object")
     seed = _pick_seed(args.seed if args.seed is not None else doc.get("base_seed"))
     config = load_sweep_config(doc, seed)
+    out = Path(args.out)
+    # Checked before the sweep, whose results would otherwise be lost.
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
+    if out.suffix == ".json":
+        table_out, json_out = out.with_suffix(".csv"), out
+    else:
+        table_out, json_out = out, out.with_suffix(out.suffix + ".json")
+    for path in (table_out, json_out):
+        if path.is_dir():
+            raise ValueError(f"--out {out}: {path} is a directory")
     _log(
         f"sweep: instance={config.instance_name} algorithms={list(config.algorithms)} "
         f"budgets={list(config.budgets)} trials={config.trials} workers={args.workers}"
     )
     result = run_sweep(config, workers=args.workers)
-    out = Path(args.out)
-    if out.suffix == ".json":
-        table_out, json_out = out.with_suffix(".csv"), out
-    else:
-        table_out, json_out = out, out.with_suffix(out.suffix + ".json")
     write_sweep_result(result, table_out, json_out)
     for cell in result.cells:
         if cell.note:

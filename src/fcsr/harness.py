@@ -48,9 +48,10 @@ _TABLE_COLUMNS = (
     "delta_band",
     "bernoulli_ci",
 )
-# The most trials run as one batch. A baseline's batch holds about 4.8 KB a
-# trial on `combined` (K=10, M=5; `sr`, generators included). On wider
-# instances its pre-drawn normals stay within 32 KB a trial
+# The most trials run as one batch. A sweep cuts every cell's trials into
+# the same spans of this many, at any worker count. A baseline's batch holds
+# about 4.8 KB a trial on `combined` (K=10, M=5; `sr`, generators included).
+# On wider instances its pre-drawn normals stay within 32 KB a trial
 # (``algorithms._NORMALS``), unless one stage alone is wider.
 _MAX_BATCH = 256
 
@@ -314,58 +315,56 @@ def _plain(x: Any) -> Any:
 
 
 def _count_errors(
-    instance: BanditInstance,
-    best_arm: int,
-    algorithm: str,
-    budget: int,
-    params: dict[str, float],
-    base_seed: int,
-    lo: int,
-    hi: int,
+    config: SweepConfig, best_arm: int, algorithm: str, budget: int, lo: int, hi: int
 ) -> int:
-    """Wrong decisions among trials ``lo..hi`` (``hi`` excluded) of one cell,
-    run as one batch. Trial t draws from ``RngStream(base_seed,
-    trial_stream_id(algorithm, budget, t))``; the batch's generators are
-    seeded in one vectorised pass that equals ``RngStream.generator()`` bit
-    for bit."""
-    ids = _stream_ids(algorithm, budget, range(lo, hi))
-    decisions = _decisions(algorithm, instance, budget, _stream_generators(base_seed, ids), **params)
+    """Wrong decisions among trials ``lo..hi`` (``hi`` excluded) of one cell
+    of ``config``, run as one batch. Trial t draws from
+    ``RngStream(config.base_seed, trial_stream_id(algorithm, budget, t))``;
+    the batch's generators are seeded in one vectorised pass that equals
+    ``RngStream.generator()`` bit for bit."""
+    generators = _stream_generators(config.base_seed, _stream_ids(algorithm, budget, range(lo, hi)))
+    params = config.params.get(algorithm, {})
+    decisions = _decisions(algorithm, config.instance, budget, generators, **params)
     return int(np.count_nonzero(decisions != best_arm))
 
 
-# The sweep's instance in a pool worker, set once per worker by
-# ``_init_worker`` so that the tasks need not carry it.
-_WORKER_INSTANCE: BanditInstance | None = None
+# The sweep's config and best arm in a pool worker, set once per worker by
+# ``_init_worker`` so that the tasks need not carry them.
+_WORKER_SWEEP: tuple[SweepConfig, int] | None = None
 
 
-def _init_worker(instance: BanditInstance) -> None:
-    global _WORKER_INSTANCE
-    _WORKER_INSTANCE = instance
+def _init_worker(config: SweepConfig, best_arm: int) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = (config, best_arm)
 
 
-def _count_errors_task(args) -> int:
-    return _count_errors(_WORKER_INSTANCE, *args)
+def _count_errors_task(task: tuple[str, int, int, int]) -> int:
+    return _count_errors(*_WORKER_SWEEP, *task)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Run every (algorithm, budget) cell for ``config.trials`` trials.
 
     Trials are independent and stream-isolated, so the result is identical
-    for any ``workers`` value and any execution order. With a pool, every
-    cell's batches are queued at once and collected in cell order, so no
-    worker waits at a cell boundary; a cell's ``wall_time`` is then the time
-    from the previous cell's completion (or the sweep's start) to its own,
-    and the cells' times add up to the sweep's. A worker that dies breaks
-    the whole process pool: the pool is then started again, the cell being
-    collected and every later one queued once more, and that cell's note
-    says so. A cell whose run raises otherwise, or breaks the new pool too,
-    is recorded with a note and NaN statistics instead of aborting the sweep.
+    for any ``workers`` value and any execution order. Every cell's trials
+    are cut into the same spans of at most ``_MAX_BATCH``, at any worker
+    count, and each span runs as one batch. With a pool, each span is one
+    task, every cell's tasks are queued at once and collected in cell order,
+    so no worker waits at a cell boundary; a cell's ``wall_time`` is then
+    the time from the previous cell's completion (or the sweep's start) to
+    its own, and the cells' times add up to the sweep's. A worker that dies
+    breaks the whole process pool: the pool is then started again, the cell
+    being collected and every later one queued once more, and that cell's
+    note says so. A cell whose run raises otherwise, or breaks the new pool
+    too, is recorded with a note and NaN statistics instead of aborting the
+    sweep.
     """
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
-    truth = oracle(config.instance)
+    best_arm = oracle(config.instance).best_arm
     min_pulls = config.instance.num_arms * config.instance.num_attributes
     grid = [(algorithm, budget) for algorithm in config.algorithms for budget in config.budgets]
+    spans = [(lo, min(lo + _MAX_BATCH, config.trials)) for lo in range(0, config.trials, _MAX_BATCH)]
     cells = []
     executor = None
     broken: tuple[type[Exception], ...] = ()  # what a crashed worker raises
@@ -377,22 +376,20 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
         def start_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(config.instance,)
+                max_workers=workers, initializer=_init_worker, initargs=(config, best_arm)
             )
 
         executor = start_pool()
         broken = (BrokenProcessPool,)
 
-    def tasks(c: int) -> list[tuple]:
-        return _cell_tasks(config, truth.best_arm, workers, *grid[c])
-
     def cell_errors(c: int) -> int:
         """Wrong decisions in cell ``c``; with a pool, every cell's tasks are
         queued first."""
         if executor is None:
-            return sum(_count_errors(config.instance, *task) for task in tasks(c))
+            return sum(_count_errors(config, best_arm, *grid[c], *span) for span in spans)
         while len(queued) < len(grid):
-            queued.append([executor.submit(_count_errors_task, task) for task in tasks(len(queued))])
+            key = grid[len(queued)]
+            queued.append([executor.submit(_count_errors_task, (*key, *span)) for span in spans])
         return sum(future.result() for future in queued[c])
 
     try:
@@ -446,20 +443,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
         trials=config.trials,
         cells=tuple(cells),
     )
-
-
-def _cell_tasks(
-    config: SweepConfig, best_arm: int, workers: int, algorithm: str, budget: int
-) -> list[tuple]:
-    """One cell's tasks: its trials cut into batches of at most
-    ``_MAX_BATCH``, and with a pool of at most a quarter of a worker's share."""
-    n = config.trials
-    chunk = _MAX_BATCH if workers == 1 else min(_MAX_BATCH, math.ceil(n / (workers * 4)))
-    params = dict(config.params.get(algorithm, {}))
-    return [
-        (best_arm, algorithm, budget, params, config.base_seed, lo, min(lo + chunk, n))
-        for lo in range(0, n, chunk)
-    ]
 
 
 def weighted_log_error_slope(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -96,20 +97,22 @@ class RatingsCorpus:
         raise KeyError(f"no movie titled {title!r} in the corpus")
 
 
-def _open_csv(path: str | Path, expected: tuple[str, ...]) -> tuple:
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.reader(handle)
+@contextmanager
+def _csv_rows(path: str | Path, expected: tuple[str, ...]):
+    """A CSV reader over the rows after the header of the file at ``path``,
+    which must be UTF-8 text whose header is ``expected``. The file is closed
+    when the ``with`` block ends, however it ends."""
     try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise ValueError(f"{path}: empty file, expected header {','.join(expected)}")
-    if [h.strip() for h in header] != list(expected):
-        handle.close()
-        raise ValueError(
-            f"{path}: missing or wrong header; expected {','.join(expected)}"
-        )
-    return handle, reader
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected header {','.join(expected)}")
+            if [h.strip() for h in header] != list(expected):
+                raise ValueError(f"{path}: missing or wrong header; expected {','.join(expected)}")
+            yield reader
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCorpus:
@@ -120,8 +123,7 @@ def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCo
     than 1% malformed rows aborts the parse, as does an empty ratings file.
     """
     movies: dict[int, Movie] = {}
-    handle, reader = _open_csv(movies_path, _MOVIES_HEADER)
-    with handle:
+    with _csv_rows(movies_path, _MOVIES_HEADER) as reader:
         for row in reader:
             if len(row) != 3:
                 continue
@@ -138,8 +140,7 @@ def parse_corpus(ratings_path: str | Path, movies_path: str | Path) -> RatingsCo
     vals: list[float] = []
     skipped = 0
     total = 0
-    handle, reader = _open_csv(ratings_path, _RATINGS_HEADER)
-    with handle:
+    with _csv_rows(ratings_path, _RATINGS_HEADER) as reader:
         for row in reader:
             total += 1
             if len(row) != 4:

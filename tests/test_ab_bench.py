@@ -87,3 +87,17 @@ def test_the_setup_rows_read_each_runs_ingests_and_repetitions(tmp_path):
     assert line.split() == [
         "ingest", "wall_s", "0.19", "[0.185,", "0.195]", "0.095", "[0.0925,", "0.0975]", "0.500",
     ]
+
+
+def test_bench_gives_each_checkout_its_own_bytecode_prefix(tmp_path, monkeypatch):
+    # Each side writes its bytecode to its own prefix, even where the
+    # environment asks for none to be written.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    report = "import json, sys\nprint(json.dumps([sys.pycache_prefix, sys.dont_write_bytecode]))\n"
+    seen = {}
+    for side in ("ref", "change"):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "bench" / "run.py").write_text(report, encoding="utf-8")
+        seen[side] = ab_bench.bench(checkout, "any", 1, tmp_path / f"pycache-{side}")
+    assert seen == {side: [str(tmp_path / f"pycache-{side}"), False] for side in ("ref", "change")}

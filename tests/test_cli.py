@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcsr.cli as cli
 from fcsr.algorithms import RunTrace, run_algorithm
 from fcsr.cli import main
 from fcsr.core import BanditInstance, Gaussian, RngStream, oracle
@@ -259,6 +260,22 @@ def test_sweep_json_out_keeps_the_table(tmp_path):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["trials"] == 5
     assert (tmp_path / "results.csv").read_text().startswith("algorithm,")
+
+
+@pytest.mark.parametrize("out, message", [
+    ("missing/x.csv", "--out {tmp}/missing/x.csv: directory {tmp}/missing does not exist"),
+    ("", "--out {tmp}: {tmp} is a directory"),
+    ("r.csv", "--out {tmp}/r.csv: {tmp}/r.csv.json is a directory"),
+], ids=["missing-directory", "a-directory", "json-beside-it-a-directory"])
+def test_sweep_checks_the_out_path_before_it_runs(tmp_path, capsys, monkeypatch, out, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    (tmp_path / "r.csv.json").mkdir()
+    config = str(_sweep_config(tmp_path))
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / out)]) == 2
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_algorithm(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -173,10 +174,40 @@ def test_sweep_repeatable_and_worker_invariant(monkeypatch):
     parallel = run_sweep(config, workers=2)
     assert serial_a == serial_b
     assert serial_a == parallel  # wall_time excluded from equality
-    # A chunk of trials runs as batches of at most _MAX_BATCH trials.
+    # A cell's trials run as batches of at most _MAX_BATCH trials.
     monkeypatch.setattr(harness, "_MAX_BATCH", 3)
     assert run_sweep(config, workers=1) == serial_a
     assert run_sweep(config, workers=2) == serial_a
+
+
+def test_a_pool_runs_the_batches_of_a_one_worker_sweep(monkeypatch):
+    """A sweep cuts every cell's trials into the same spans at any worker
+    count: a 2-worker sweep submits, in cell order, exactly the (algorithm,
+    budget, lo, hi) batches that a one-worker sweep runs. The submits are
+    recorded in the parent, so this holds under any start method."""
+    config = _tiny_config(algorithms=("sr", "us"), trials=50)
+    monkeypatch.setattr(harness, "_MAX_BATCH", 16)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def record_submit(self, fn, task):
+        submitted.append(task)
+        return submit(self, fn, task)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", record_submit)
+    parallel = run_sweep(config, workers=2)
+    ran = []
+    count_errors = harness._count_errors
+
+    def record_batch(config, best_arm, *batch):
+        ran.append(batch)
+        return count_errors(config, best_arm, *batch)
+
+    monkeypatch.setattr(harness, "_count_errors", record_batch)
+    assert run_sweep(config, workers=1) == parallel
+    spans = [(0, 16), (16, 32), (32, 48), (48, 50)]
+    assert ran == [(a, b, lo, hi) for a in ("sr", "us") for b in (60, 120) for lo, hi in spans]
+    assert submitted == ran
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Ratings-ingestion tests over small synthetic CSV corpora."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,17 @@ def test_parse_missing_header_rejected(tmp_path):
     movies = tmp_path / "m.csv"
     movies.write_text("movieId,title,genres\n296,X,Drama\n")
     with pytest.raises(ValueError, match="header"):
+        parse_corpus(ratings, movies)
+
+
+@pytest.mark.parametrize("spoil", ["header", "row"])
+def test_parse_rejects_a_ratings_file_that_is_not_utf8(tmp_path, spoil):
+    # The file is closed on the error: a leaked handle would fail the test,
+    # as warnings are errors. A bad row comes after several read buffers.
+    ratings, movies = write_corpus(tmp_path, ["1,1,4.0,10"] * 2000, MOVIES)
+    text = ratings.read_bytes()
+    ratings.write_bytes(b"\xff\xfe" + text if spoil == "header" else text + b"1,1,\xff,10\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(ratings))}: not UTF-8 text"):
         parse_corpus(ratings, movies)
 
 

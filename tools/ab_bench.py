@@ -4,7 +4,10 @@
 
 Extracts the git ref ``--ref`` with ``git archive`` into a temporary
 directory, then runs ``bench/run.py --trace 0`` there and in the working
-tree, once per seed on each side, alternating which side runs first. For
+tree, once per seed on each side, alternating which side runs first. Each
+side keeps its bytecode in its own fresh ``PYTHONPYCACHEPREFIX`` under the
+temporary directory, so both start with none and compile in their first
+run only. For
 each end-to-end metric that ``BENCHMARK.json`` declares, it prints each
 side's median and quartiles, the change's median over the ref's, how many
 pairs the change won, and a verdict against the metric's declared bound:
@@ -57,11 +60,17 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``bench/run.py`` run in ``checkout``, of the benchmark's own length;
-    its last stdout line, parsed."""
+def bench(checkout: Path, workload: str, seed: int, pycache: Path) -> dict:
+    """One ``bench/run.py`` run in ``checkout``, of the benchmark's own length,
+    with bytecode read from and written to ``pycache`` only; its last stdout
+    line, parsed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # Bytecode is written even where PYTHONDONTWRITEBYTECODE is set, so that
+    # only a side's first run compiles: numpy's installed bytecode is not
+    # read from under a prefix either.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -145,13 +154,17 @@ def main(argv: list[str] | None = None) -> int:
 
     runs: dict[str, list[dict]] = {"ref": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
+        sides = {"ref": Path(tmp) / "ref", "change": ROOT}
+        # Each side starts from no bytecode: the ref's archive has no
+        # __pycache__, while the working tree's may hold one.
+        pycaches = {side: Path(tmp) / f"pycache-{side}" for side in sides}
+        sides["ref"].mkdir()
         archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        sides = {"ref": Path(tmp), "change": ROOT}
+        subprocess.run(["tar", "-x", "-C", sides["ref"]], input=archive.stdout, check=True)
         for i, seed in enumerate(seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                result = bench(sides[side], args.workload, seed)
+                result = bench(sides[side], args.workload, seed, pycaches[side])
                 informational = {"sweep trials/s": whole_sweep(sides[side], args.workload, seed),
                                  **setup_parts(sides[side], args.workload, seed)}
                 runs[side].append({"seed": seed, "informational": informational, **result})
