@@ -79,13 +79,6 @@ def _fraction(name: str, x: float | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
-def _budget(name: str, value: int) -> int:
-    """The pull budget ``name`` as an int: a non-negative integer (a bool is not one)."""
-    if _integer(name, value) < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Successive-rejects round budgets for K arms and budget T.
@@ -115,7 +108,6 @@ class ScheduleSpec:
         return sum((k + 1 - r) * d for r, d in enumerate(self.delta, start=1))
 
 
-@functools.lru_cache(maxsize=256)
 def _nbar(num_arms: int) -> tuple[int, int]:
     """nbar = 1/2 + sum_{k=2}^{K} 1/k as the integers (p, q) of p/q, in
     lowest terms."""
@@ -143,9 +135,8 @@ def build_schedule(num_arms: int, budget: int, feasibility_fraction: float = 0.0
         feasibility_fraction: fraction f in [0, 1) reserved away from the
             round schedule (0 for the plain successive-rejects baseline).
     """
-    if _integer("num_arms", num_arms) < 2:
-        raise ValueError("the round schedule needs at least 2 arms")
-    budget = _budget("budget", budget)
+    _integer("num_arms", num_arms, 2)
+    budget = _integer("budget", budget, 0)
     f = _fraction("feasibility_fraction", feasibility_fraction)
     p, q = _nbar(num_arms)
     top = _floor_mul(1 - f, budget) * q
@@ -424,7 +415,7 @@ def uniform_phase(
     The remainder budget mod M is discarded. Returns the number of pulls
     made; ``stats`` is updated in place.
     """
-    _budget("budget", budget)
+    _integer("budget", budget, 0)
     return _on_row(instance, stats, arm, budget, rng, _RunState.uniform, budget)
 
 
@@ -442,7 +433,7 @@ def apt_phase(
     sqrt(count) * |empirical mean - threshold|, lowest index on ties,
     continuing from whatever statistics ``stats`` already holds.
     """
-    _budget("budget", budget)
+    _integer("budget", budget, 0)
     return _on_row(instance, stats, arm, budget, rng, _RunState.apt, budget, threshold)
 
 
@@ -462,7 +453,7 @@ def sample_until_feasible(
     out. Returns the unspent feasibility budget; on a return value > 0
     every attribute of the arm is empirically feasible.
     """
-    _budget("feasibility_budget", feasibility_budget)
+    _integer("feasibility_budget", feasibility_budget, 0)
     return feasibility_budget - _on_row(
         instance, stats, arm, feasibility_budget, rng,
         _RunState.suf, feasibility_budget, threshold,
@@ -505,7 +496,7 @@ def run_fcsr(
     budget, so ``pulls_total <= budget`` always holds. A budget below K*M
     is legal and forces the decision from sparse statistics.
     """
-    budget, tau = _budget("budget", budget), instance.threshold
+    budget, tau = _integer("budget", budget, 0), instance.threshold
     f = _fraction("feasibility_fraction", feasibility_fraction)
     g = _fraction("apt_fraction", apt_fraction)
     k = instance.num_arms
@@ -708,7 +699,7 @@ def _us(instance, budget, gens, log=None) -> np.ndarray:
     attribute. Each trial, one per generator, decides on the empirically
     feasible arm with the highest empirical arm mean (lowest index on ties),
     or 0 when no arm looks feasible."""
-    budget, tau = _budget("budget", budget), instance.threshold
+    budget, tau = _integer("budget", budget, 0), instance.threshold
     cells = instance.num_arms * instance.num_attributes
     batch = _Batch(instance, gens, budget, [(budget // cells, cells)], log)
     batch.uniform()
@@ -727,7 +718,7 @@ def _sr(instance, budget, gens, log=None) -> np.ndarray:
     adaptive thresholding and sample-until-feasible budgets at 0: ``run_fcsr``
     at f = g = 0 gives the same trace bit for bit (``test_fcsr_at_zero_is_sr``).
     """
-    budget, tau = _budget("budget", budget), instance.threshold
+    budget, tau = _integer("budget", budget, 0), instance.threshold
     k, m = instance.num_arms, instance.num_attributes
     rounds = build_schedule(k, budget).delta
     plan = [(increment // m, (k - r) * m) for r, increment in enumerate(rounds)]
@@ -755,7 +746,7 @@ def _etc(instance, budget, gens, explore_fraction=0.5, log=None) -> np.ndarray:
     candidate is returned if it looks feasible, else 0. At explore_fraction 0
     every stage-one score ties, so this is ``us`` on arms 1..min(M, K).
     """
-    budget, tau = _budget("budget", budget), instance.threshold
+    budget, tau = _integer("budget", budget, 0), instance.threshold
     explore = _fraction("explore_fraction", explore_fraction)
     k, m = instance.num_arms, instance.num_attributes
     c = min(m, k)

@@ -147,11 +147,16 @@ class RngStream:
     An RngStream holds no generator state: ``generator()`` returns a fresh
     generator positioned at the start of the stream each time, so a run that
     is handed an RngStream makes the same draws however often the stream was
-    used before.
+    used before. ``seed`` and ``stream_id`` are integers of any sign (not
+    bools), each taken mod 2**64.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self) -> None:
+        self.seed = _integer("seed", self.seed)
+        self.stream_id = _integer("stream_id", self.stream_id)
 
     def generator(self) -> Generator:
         """Fresh generator at the start of this stream."""
@@ -254,10 +259,14 @@ def _stream_generators(seed: int, stream_ids: Sequence[int]) -> list[Generator]:
     return [Generator(PCG64(_State(row))) for row in state]
 
 
-def _integer(name: str, value: object) -> int:
-    """``value`` as an int; a ValueError naming ``name`` when it is no integer."""
+def _integer(name: str, value: object, least: int | None = None) -> int:
+    """``value`` as an int: the one rule for every integer input. A
+    ValueError naming ``name`` when it is no integer (a bool is not one) or,
+    given ``least``, when it is below ``least``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 

@@ -193,8 +193,7 @@ def predict_exponents(
         raise ValueError(
             f"sub-Gaussian parameter R must be positive and finite, got {sub_gaussian_r}"
         )
-    if _integer("budget", budget) < 0:
-        raise ValueError("budget must be non-negative")
+    _integer("budget", budget, 0)
     if report.overall_hardness <= 0.0:
         raise ValueError(
             "overall hardness is 0; the error-exponent prediction is vacuous"
@@ -236,11 +235,9 @@ def generate_feasibility_class(d: float, num_arms: int) -> list[BanditInstance]:
     """
     if not 0.0 < d <= 0.25:
         raise ValueError(f"gap d must lie in (0, 0.25], got {d}")
-    if num_arms < 2:
-        raise ValueError("the feasibility family needs K >= 2")
+    m = _integer("num_arms", num_arms, 2)
     low = Bernoulli(0.5 - d)
     high = Bernoulli(0.5 + d)
-    m = num_arms
     members = []
     for flipped in range(num_arms + 1):
         arms = tuple(
@@ -272,11 +269,10 @@ def generate_risky_class(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if num_arms < 2 or num_attributes < 2:
-        raise ValueError("the risky family needs K >= 2 and M >= 2")
+    k = _integer("num_arms", num_arms, 2)
+    m = _integer("num_attributes", num_attributes, 2)
     threshold = 3.0 / 8.0
     d_risky = 1.0 / 8.0
-    k, m = num_arms, num_attributes
     scale = math.sqrt((k - 1) / (m * k))
     gaps = {i: beta * i / (16.0 * k) * scale for i in range(2, k + 1)}
 

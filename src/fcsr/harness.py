@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .algorithms import _budget, _check_params, _decisions
+from .algorithms import _check_params, _decisions
 from .core import BanditInstance, Gaussian, _integer, _stream_generators, oracle
 
 __all__ = [
@@ -98,13 +98,8 @@ def build_synthetic(
     a = _DEFAULT_GAP[name] if gap is None else gap
     if not 0.001 < a < 0.1:
         raise ValueError(f"gap parameter must lie in (0.001, 0.1), got {a}")
-    k, m = num_arms, num_attributes
-    if k < 2:
-        raise ValueError("synthetic instances need at least 2 arms")
-    if m < 2 and name != "mean":
-        raise ValueError(f"the {name} instance needs at least 2 attributes")
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    k = _integer("num_arms", num_arms, 2)
+    m = _integer("num_attributes", num_attributes, 1 if name == "mean" else 2)
 
     def arm(*means: float) -> tuple[Gaussian, ...]:
         return tuple(Gaussian(mu, variance) for mu in means)
@@ -175,8 +170,7 @@ def confidence_bands(accuracy: float, trials: int) -> tuple[float, float]:
     """
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError("accuracy must lie in [0, 1]")
-    if _integer("trials", trials) < 1:
-        raise ValueError("trials must be >= 1")
+    _integer("trials", trials, 1)
     if accuracy >= 1.0:
         delta = math.inf
     else:
@@ -193,7 +187,7 @@ class SweepConfig:
         instance: the resolved bandit instance.
         algorithms: stable identifiers from ``ALGORITHM_IDS``.
         budgets: strictly increasing pull budgets, integers >= 0 (not bools).
-        trials: Monte-Carlo trials per cell (N), an integer.
+        trials: Monte-Carlo trials per cell (N), an integer >= 1.
         base_seed: root seed, an integer; trial t of cell (alg, T) uses
             stream (base_seed, hash(alg, T, t)).
         params: optional per-algorithm keyword overrides, each a fraction
@@ -214,9 +208,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        budgets = tuple(_budget("each item of budgets", b) for b in self.budgets)
+        budgets = tuple(_integer("each item of budgets", b, 0) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "trials", _integer("trials", self.trials, 1))
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
@@ -229,8 +223,6 @@ class SweepConfig:
             raise ValueError("budgets must be non-empty")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budgets must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         idle = [algorithm for algorithm in self.params if algorithm not in self.algorithms]
         if idle:
             raise ValueError(
@@ -359,8 +351,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     too, is recorded with a note and NaN statistics instead of aborting the
     sweep.
     """
-    if _integer("workers", workers) < 1:
-        raise ValueError("workers must be >= 1")
+    _integer("workers", workers, 1)
     best_arm = oracle(config.instance).best_arm
     min_pulls = config.instance.num_arms * config.instance.num_attributes
     grid = [(algorithm, budget) for algorithm in config.algorithms for budget in config.budgets]
@@ -470,8 +461,7 @@ def weighted_log_error_slope(
         raise ValueError(f"slope fit needs finite budgets, got {x.tolist()}")
     if not np.all((acc > 0.0) & (acc < 1.0)):
         raise ValueError(f"slope fit needs accuracies strictly inside (0, 1), got {acc.tolist()}")
-    if _integer("trials", trials) < 1:
-        raise ValueError(f"slope fit needs trials >= 1, got {trials}")
+    _integer("trials", trials, 1)
     y = np.log(1.0 - acc)
     var = acc / (trials * (1.0 - acc))
     w = 1.0 / var

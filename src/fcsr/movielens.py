@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import BanditInstance, Bernoulli, Empirical
+from .core import BanditInstance, Bernoulli, Empirical, _integer
 
 __all__ = [
     "RATING_MIN",
@@ -184,7 +184,8 @@ class PortfolioSpec:
         arms: one genre -> movie-id mapping per portfolio.
         threshold: feasibility cutoff on normalized mean rating.
         min_ratings: movies below this rating count are rejected (inclusive
-            bound: exactly ``min_ratings`` ratings is accepted).
+            bound: exactly ``min_ratings`` ratings is accepted); an integer
+            >= 1, since an attribute replays at least one rating.
         arm_labels: optional display names per portfolio.
     """
 
@@ -195,6 +196,7 @@ class PortfolioSpec:
     arm_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "min_ratings", _integer("min_ratings", self.min_ratings, 1))
         if not self.genres:
             raise ValueError("portfolio spec needs at least one genre")
         if not self.arms:
@@ -255,9 +257,8 @@ def auto_select_portfolios(
     listed genres that made the cut; and each portfolio draws one distinct
     movie per genre bucket without replacement.
     """
-    for name, flag, value in (("num_arms", "--k", num_arms), ("num_attributes", "--m", num_attributes)):
-        if value < 1:
-            raise ValueError(f"{name} ({flag}) must be at least 1, got {value}")
+    _integer("num_arms (--k)", num_arms, 1)
+    _integer("num_attributes (--m)", num_attributes, 1)
     eligible = sorted(
         m for m in corpus.movies if corpus.rating_count(m) >= min_ratings
     )

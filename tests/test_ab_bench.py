@@ -101,3 +101,21 @@ def test_bench_gives_each_checkout_its_own_bytecode_prefix(tmp_path, monkeypatch
         (checkout / "bench" / "run.py").write_text(report, encoding="utf-8")
         seen[side] = ab_bench.bench(checkout, "any", 1, tmp_path / f"pycache-{side}")
     assert seen == {side: [str(tmp_path / f"pycache-{side}"), False] for side in ("ref", "change")}
+
+
+@pytest.mark.parametrize("text", ["10-5", "7", "", "1-2-3", "a-b", "-3-4"])
+def test_a_malformed_seed_range_stops_before_any_checkout(monkeypatch, capsys, text):
+    # "10-5" once read as no seeds: the tool extracted the ref and only
+    # failed when it took the quartiles of no runs.
+    with pytest.raises(ValueError, match=f"--seeds must read .* got {text!r}"):
+        ab_bench.parse_seeds(text)
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("ran a command"))
+    with pytest.raises(SystemExit) as exit_:
+        ab_bench.main(["--ref", "HEAD", "--workload", "fcsr-risky", f"--seeds={text}"])
+    assert exit_.value.code == 2
+    assert "--seeds must read" in capsys.readouterr().err
+
+
+def test_seed_range_reads_both_ends():
+    assert ab_bench.parse_seeds("401-410") == list(range(401, 411))
+    assert ab_bench.parse_seeds("7-7") == [7]

@@ -327,7 +327,7 @@ def test_every_algorithm_rejects_bad_threshold_and_budget(name):
     # The threshold is the instance's: no run reads it as a keyword.
     with pytest.raises(ValueError, match=rf"'{name}' does not read \['threshold'\]"):
         run_algorithm(name, SEPARATING, 100, RngStream(0), threshold=0.5)
-    with pytest.raises(ValueError, match="budget must be non-negative"):
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
         run_algorithm(name, SEPARATING, -1, RngStream(0))
     # A budget is an integer: not a float, even a whole one, and not a bool.
     for budget in (1000.5, 2000.0, math.nan, math.inf, True):

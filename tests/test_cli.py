@@ -186,7 +186,7 @@ def test_run_rejects_flags_and_budgets_the_algorithm_cannot_use(tmp_path, capsys
     for argv, message in (
         (["us", "--budget", "500", "--f", "0.3"], "'us' does not read ['feasibility_fraction']"),
         (["sr", "--budget", "500", "--explore-fraction", "0.5"], "'sr' does not read ['explore_fraction']"),
-        (["etc", "--budget", "-5"], "budget must be non-negative, got -5"),
+        (["etc", "--budget", "-5"], "budget must be at least 0, got -5"),
         (["fcsr", "--budget", "500", "--g", "1.0"], "apt_fraction must lie in [0, 1), got 1.0"),
         (["fcsr", "--budget", "500", "--f", "-0.1"], "feasibility_fraction must lie in [0, 1), got -0.1"),
     ):
@@ -646,6 +646,30 @@ def test_ingest_rejects_a_malformed_portfolio_document(tmp_path, capsys, doc, na
     code = main([*_two_movie_corpus(tmp_path), "--portfolios", str(portfolio), "--out", str(out)])
     assert code == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, doc",
+    [
+        ([], {"min_ratings": 0}),
+        (["--min-ratings", "0"], {}),
+        (["--min-ratings", "0", "--k", "2", "--m", "1"], None),
+    ],
+    ids=["document", "flag", "auto-select"],
+)
+def test_ingest_rejects_a_min_ratings_below_one(tmp_path, capsys, extra, doc):
+    # Movie 3 has no ratings. At min_ratings 0 it passed the filter and
+    # failed later with an error that named no field.
+    argv = _two_movie_corpus(tmp_path)
+    (tmp_path / "movies.csv").write_text("movieId,title,genres\n1,A,Drama\n2,B,Drama\n3,C,Drama\n")
+    if doc is not None:
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({"genres": ["Drama"], "arms": [{"Drama": 1}, {"Drama": 3}], **doc}))
+        argv += ["--portfolios", str(portfolio)]
+    out = tmp_path / "instance.json"
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    assert "min_ratings must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsr.algorithms import ALGORITHM_IDS, _decisions, apt_phase, sample_until_feasible, uniform_phase
+from fcsr.algorithms import (
+    ALGORITHM_IDS,
+    _decisions,
+    apt_phase,
+    build_schedule,
+    run_algorithm,
+    sample_until_feasible,
+    uniform_phase,
+)
 from fcsr.core import (
     BanditInstance,
     Bernoulli,
@@ -23,8 +31,27 @@ from fcsr.core import (
     _stream_generators,
     oracle,
 )
-from fcsr.harness import build_synthetic, trial_stream_id
-from fcsr.movielens import table1_surrogate_instance
+from fcsr.hardness import (
+    compute_hardness,
+    generate_feasibility_class,
+    generate_risky_class,
+    predict_exponents,
+)
+from fcsr.harness import (
+    SweepConfig,
+    build_synthetic,
+    confidence_bands,
+    run_sweep,
+    trial_stream_id,
+    weighted_log_error_slope,
+)
+from fcsr.movielens import (
+    Movie,
+    PortfolioSpec,
+    RatingsCorpus,
+    auto_select_portfolios,
+    table1_surrogate_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +465,80 @@ def test_instance_validation():
     edges = Empirical((0.0, -0.0, 1.0))
     assert [math.copysign(1.0, v) for v in edges.values] == [1.0, -1.0, 1.0]
     assert edges._array.tolist() == [0.0, 0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# Integer inputs
+# ---------------------------------------------------------------------------
+
+
+_SMALL = build_synthetic("risky", num_arms=3, num_attributes=2)
+_SMALL_SWEEP = {"instance": _SMALL, "algorithms": ("us",), "budgets": (10,), "trials": 1, "base_seed": 0}
+_ONE_MOVIE = RatingsCorpus(np.array([1]), np.array([4.0]), {1: Movie("A", ("Drama",))})
+
+
+def _phase(k):
+    """Phase function k of ``_phase_calls`` on fresh statistics, at budget v."""
+    gen = np.random.default_rng(0)
+    return lambda v: _phase_calls(_SMALL, StatsState.for_instance(_SMALL), 1, v, gen)[k]()
+
+
+# Every integer input as (field name, least value or None, call): ``call(v)``
+# passes v as that input, with every other argument valid.
+_INTEGER_INPUTS = {
+    "schedule-arms": ("num_arms", 2, lambda v: build_schedule(v, 100)),
+    "schedule-budget": ("budget", 0, lambda v: build_schedule(3, v)),
+    "uniform-budget": ("budget", 0, _phase(0)),
+    "apt-budget": ("budget", 0, _phase(1)),
+    "suf-budget": ("feasibility_budget", 0, _phase(2)),
+    **{
+        f"{algorithm}-budget": ("budget", 0, lambda v, a=algorithm: run_algorithm(a, _SMALL, v, RngStream(0)))
+        for algorithm in ALGORITHM_IDS
+    },
+    "exponents-budget": ("budget", 0, lambda v: predict_exponents(compute_hardness(_SMALL), v)),
+    "bands-trials": ("trials", 1, lambda v: confidence_bands(0.5, v)),
+    "slope-trials": ("trials", 1, lambda v: weighted_log_error_slope([1000, 2000], [0.6, 0.8], v)),
+    "sweep-workers": ("workers", 1, lambda v: run_sweep(SweepConfig(**_SMALL_SWEEP), v)),
+    "sweep-budgets": ("each item of budgets", 0, lambda v: SweepConfig(**{**_SMALL_SWEEP, "budgets": (v,)})),
+    "sweep-trials": ("trials", 1, lambda v: SweepConfig(**{**_SMALL_SWEEP, "trials": v})),
+    "sweep-seed": ("base_seed", None, lambda v: SweepConfig(**{**_SMALL_SWEEP, "base_seed": v})),
+    "synthetic-arms": ("num_arms", 2, lambda v: build_synthetic("risky", num_arms=v)),
+    "synthetic-attributes": ("num_attributes", 2, lambda v: build_synthetic("risky", num_attributes=v)),
+    "mean-attributes": ("num_attributes", 1, lambda v: build_synthetic("mean", num_attributes=v)),
+    "feasibility-family-arms": ("num_arms", 2, lambda v: generate_feasibility_class(0.1, v)),
+    "risky-family-arms": ("num_arms", 2, lambda v: generate_risky_class(0.5, v, 2)),
+    "risky-family-attributes": ("num_attributes", 2, lambda v: generate_risky_class(0.5, 2, v)),
+    "portfolio-arms": ("num_arms (--k)", 1, lambda v: auto_select_portfolios(_ONE_MOVIE, v, 1, 1)),
+    "portfolio-attributes": ("num_attributes (--m)", 1, lambda v: auto_select_portfolios(_ONE_MOVIE, 1, v, 1)),
+    "portfolio-min-ratings": ("min_ratings", 1, lambda v: PortfolioSpec(("Drama",), ({"Drama": 1},), 0.5, v)),
+    "stream-seed": ("seed", None, lambda v: RngStream(v, 0)),
+    "stream-id": ("stream_id", None, lambda v: RngStream(0, v)),
+}
+
+
+@pytest.mark.parametrize("name, least, call", _INTEGER_INPUTS.values(), ids=_INTEGER_INPUTS)
+def test_every_integer_input_is_an_integer_at_least_its_least(name, least, call):
+    # One rule: not a float (even a whole one), not a bool, not below the
+    # least; each error names the field and the value. The least itself is taken.
+    lowest = 0 if least is None else least
+    bad = [(lowest + 1.0, f"{name} must be an integer, got {lowest + 1.0!r}"),
+           (True, f"{name} must be an integer, got True")]
+    if least is not None:
+        bad.append((least - 1, f"{name} must be at least {least}, got {least - 1}"))
+    for value, message in bad:
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == message
+    call(lowest)
+    call(np.int64(lowest))
+
+
+def test_rng_stream_takes_any_integer_mod_2_to_the_64():
+    stream = RngStream(np.int64(-1), np.uint64(7))
+    assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+    assert np.array_equal(
+        stream.generator().random(4), RngStream((1 << 64) - 1, (1 << 64) + 7).generator().random(4)
+    )
 
 
 # ---------------------------------------------------------------------------

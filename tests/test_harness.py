@@ -14,7 +14,7 @@ import pytest
 
 import fcsr.harness as harness
 from fcsr.algorithms import ALGORITHM_PARAMS
-from fcsr.core import BanditInstance, Bernoulli, oracle
+from fcsr.core import BanditInstance, Bernoulli, RngStream, oracle
 from fcsr.harness import (
     GAUSSIAN_VARIANCE,
     CellResult,
@@ -212,30 +212,46 @@ def test_a_pool_runs_the_batches_of_a_one_worker_sweep(monkeypatch):
 
 @dataclass(frozen=True)
 class _CrashOnce(Bernoulli):
-    """A Bernoulli attribute whose first block sum drawn outside process
-    ``parent``, in any process, kills that process; the file ``flag`` marks
-    that it happened. The instance reaches pool workers pickled or forked,
-    so this works under any start method."""
+    """A Bernoulli attribute whose block sum drawn outside process
+    ``parent``, from a generator in state ``state``, kills that process;
+    the file ``flag`` marks that it happened, so it happens once. Given a
+    ``gate`` file, the process first waits for it (or a minute). The
+    instance reaches pool workers pickled or forked, so this works under
+    any start method."""
 
     flag: str = ""
     parent: int = 0
+    state: int = 0
+    gate: str = ""
 
     def draw_sum(self, n, gen):
-        if os.getpid() != self.parent:
+        if os.getpid() != self.parent and gen.bit_generator.state["state"]["state"] == self.state:
             try:
                 open(self.flag, "x").close()
             except FileExistsError:
                 pass
             else:
+                deadline = time.monotonic() + 60.0
+                while self.gate and not os.path.exists(self.gate) and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 os._exit(1)
         return super().draw_sum(n, gen)
+
+
+def _first_draw(algorithm, budget):
+    """The generator state of trial 0 of cell (algorithm, budget) at seed 3
+    before its first draw, which is a block sum of arm 1's first attribute.
+    A crash keyed to it falls in that cell, whichever tasks the pool's
+    workers run at the same time."""
+    gen = RngStream(3, trial_stream_id(algorithm, budget, 0)).generator()
+    return gen.bit_generator.state["state"]["state"]
 
 
 def test_sweep_survives_a_worker_crash(tmp_path):
     """One worker dies once: the pool is started again, that cell is run
     once more, and every cell equals the one-worker sweep's."""
     flag = tmp_path / "crashed"
-    crash = _CrashOnce(0.7, flag=str(flag), parent=os.getpid())
+    crash = _CrashOnce(0.7, flag=str(flag), parent=os.getpid(), state=_first_draw("us", 20))
     instance = BanditInstance(
         arms=((crash, Bernoulli(0.6)), (Bernoulli(0.8), Bernoulli(0.4))), threshold=0.5
     )
@@ -256,38 +272,12 @@ def test_sweep_survives_a_worker_crash(tmp_path):
     assert all(cell.error_count >= 0 for cell in serial.cells)
 
 
-@dataclass(frozen=True)
-class _CrashOnceAt(Bernoulli):
-    """A ``_CrashOnce`` that only a block sum of ``size`` pulls sets off, and
-    that kills its worker only once the file ``gate`` exists (or a minute
-    has passed). The gate lets a test first collect every cell queued ahead
-    of the one that draws such blocks."""
-
-    flag: str = ""
-    parent: int = 0
-    size: int = 0
-    gate: str = ""
-
-    def draw_sum(self, n, gen):
-        if n == self.size and os.getpid() != self.parent:
-            try:
-                open(self.flag, "x").close()
-            except FileExistsError:
-                pass
-            else:
-                deadline = time.monotonic() + 60.0
-                while not os.path.exists(self.gate) and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                os._exit(1)
-        return super().draw_sum(n, gen)
-
-
 def test_sweep_survives_a_worker_crash_in_a_later_cell(tmp_path, monkeypatch):
-    """A worker dies in the second cell, while later cells wait in the queue:
-    only that cell says it was retried, and every cell equals the one-worker
-    sweep's. Blocks of 10 pulls are drawn first by cell (us, 40)."""
+    """A worker dies in the second cell, once the first is collected, while
+    later cells wait in the queue: only that cell says it was retried, and
+    every cell equals the one-worker sweep's."""
     flag, gate = tmp_path / "crashed", tmp_path / "first-cell-collected"
-    crash = _CrashOnceAt(0.7, flag=str(flag), parent=os.getpid(), size=10, gate=str(gate))
+    crash = _CrashOnce(0.7, flag=str(flag), parent=os.getpid(), state=_first_draw("us", 40), gate=str(gate))
     instance = BanditInstance(
         arms=((crash, Bernoulli(0.6)), (Bernoulli(0.8), Bernoulli(0.4))), threshold=0.5
     )
@@ -437,7 +427,7 @@ def test_sweep_config_rejects_params_that_are_not_numbers():
     [
         ({"budgets": (60, 100.9)}, "each item of budgets must be an integer, got 100.9"),
         ({"budgets": (True, 120)}, "each item of budgets must be an integer, got True"),
-        ({"budgets": (-5, 120)}, "each item of budgets must be non-negative, got -5"),
+        ({"budgets": (-5, 120)}, "each item of budgets must be at least 0, got -5"),
         ({"trials": 8.0}, "trials must be an integer, got 8.0"),
         ({"trials": True}, "trials must be an integer, got True"),
         ({"base_seed": 99.5}, "base_seed must be an integer, got 99.5"),
@@ -496,7 +486,7 @@ def test_sweep_records_cell_failures():
     assert result.cell("us", 50).accuracy == 1.0
     # A failed cell's note is the failure alone; a low budget is noted only
     # on a cell that ran.
-    assert result.cell("sr", 0).note == "failed: the round schedule needs at least 2 arms"
+    assert result.cell("sr", 0).note == "failed: num_arms must be at least 2, got 1"
     assert result.cell("us", 0).note == "budget below one pull per attribute (1)"
     # A threshold override is rejected when the config is built, naming it.
     with pytest.raises(ValueError, match=r"'sr' does not read \['threshold'\]"):

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -55,9 +56,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """The seeds lo..hi of "lo-hi"."""
-    lo, hi = (int(x) for x in text.split("-"))
-    return list(range(lo, hi + 1))
+    """The seeds lo..hi of "lo-hi", two integers >= 0 with lo <= hi; a
+    ValueError naming ``text`` otherwise."""
+    match = re.fullmatch(r"(\d+)-(\d+)", text)
+    if match is None or int(match[1]) > int(match[2]):
+        raise ValueError(f'--seeds must read "lo-hi" with 0 <= lo <= hi, got {text!r}')
+    return list(range(int(match[1]), int(match[2]) + 1))
 
 
 def bench(checkout: Path, workload: str, seed: int, pycache: Path) -> dict:
@@ -149,7 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help='"lo-hi", e.g. "401-410"; one pair per seed')
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     runs: dict[str, list[dict]] = {"ref": [], "change": []}
