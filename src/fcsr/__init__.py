@@ -42,7 +42,6 @@ from .harness import (
     SweepConfig,
     SweepResult,
     build_synthetic,
-    confidence_bands,
     run_sweep,
     trial_stream_id,
     weighted_log_error_slope,
@@ -72,7 +71,6 @@ __all__ = [
     "build_schedule",
     "build_synthetic",
     "compute_hardness",
-    "confidence_bands",
     "generate_feasibility_class",
     "generate_risky_class",
     "oracle",

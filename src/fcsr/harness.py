@@ -1,8 +1,9 @@
 """Monte-Carlo experiment harness: benchmark instances, sweeps, aggregation.
 
 A sweep runs N independent trials of each (algorithm, budget) cell on one
-instance and reports the fraction of trials whose decision matched the
-oracle's best arm. Each trial draws from its own random stream derived from
+instance. Each cell records how often each arm, or no arm, was returned, and
+the fraction of trials whose decision matched the oracle's best arm. Each
+trial draws from its own random stream derived from
 (base seed, a stable hash of algorithm/budget/trial index), so results are
 identical whatever the execution order, worker count, or set of other
 algorithms in the sweep. Each batch of a cell's trials runs together, its
@@ -30,8 +31,6 @@ __all__ = [
     "SweepResult",
     "build_synthetic",
     "run_sweep",
-    "confidence_bands",
-    "log_error",
     "trial_stream_id",
     "weighted_log_error_slope",
 ]
@@ -39,15 +38,7 @@ __all__ = [
 GAUSSIAN_VARIANCE = 0.3
 SYNTHETIC_NAMES = ("risky", "feasibility", "mean", "combined")
 _DEFAULT_GAP = {"risky": 0.01, "feasibility": 0.01, "mean": 0.003, "combined": 0.01}
-_TABLE_COLUMNS = (
-    "algorithm",
-    "budget",
-    "trials",
-    "accuracy",
-    "log_error",
-    "delta_band",
-    "bernoulli_ci",
-)
+_TABLE_COLUMNS = ("algorithm", "budget", "trials", "error_count", "accuracy")
 # The most trials run as one batch. A sweep cuts every cell's trials into
 # the same spans of this many, at any worker count. A baseline's batch holds
 # about 4.8 KB a trial on `combined` (K=10, M=5; `sr`, generators included).
@@ -152,33 +143,6 @@ def _stream_ids(algorithm: str, budget: int, trials) -> list[int]:
     return ids
 
 
-def log_error(accuracy: float) -> float:
-    """ln(1 - accuracy); -inf at accuracy 1 (flagged, not raised)."""
-    if accuracy >= 1.0:
-        return -math.inf
-    return math.log(1.0 - accuracy)
-
-
-def confidence_bands(accuracy: float, trials: int) -> tuple[float, float]:
-    """Half-widths of the two reported uncertainty bands.
-
-    Returns (delta_band, bernoulli_ci): the delta-method standard deviation
-    of ln(1 - accuracy), sqrt(acc / (N (1 - acc))), and the 95% normal
-    half-width for a Bernoulli mean, 1.96 sqrt(acc (1 - acc) / N). At
-    accuracy 1 the delta band is undefined and reported as inf (an open
-    band); boundary cases are flagged this way rather than raised.
-    """
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError("accuracy must lie in [0, 1]")
-    _integer("trials", trials, 1)
-    if accuracy >= 1.0:
-        delta = math.inf
-    else:
-        delta = math.sqrt(accuracy / (trials * (1.0 - accuracy)))
-    bernoulli = 1.96 * math.sqrt(accuracy * (1.0 - accuracy) / trials)
-    return delta, bernoulli
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: an instance crossed with algorithms and budgets.
@@ -234,21 +198,23 @@ class SweepConfig:
 class CellResult:
     """Aggregated outcome of one (algorithm, budget) cell.
 
-    ``accuracy`` is exactly 1 - error_count / trials. ``wall_time`` is the
-    cell's share of its sweep, in seconds: from the previous cell's
-    completion (the first cell's: from the sweep's start, before any task is
-    queued) to its own, so the cells' times add up to the sweep's. It is
-    excluded from equality so identical sweeps compare equal.
+    ``decisions[k]`` counts the trials that returned arm k, and
+    ``decisions[0]`` those that returned no arm, so it has K + 1 entries
+    that sum to ``trials``. ``error_count`` is trials - decisions[best arm],
+    and ``accuracy`` is exactly 1 - error_count / trials. A failed cell
+    holds ``decisions=()``, ``error_count=-1`` and a NaN accuracy.
+    ``wall_time`` is the cell's share of its sweep, in seconds: from the
+    previous cell's completion (the first cell's: from the sweep's start,
+    before any task is queued) to its own, so the cells' times add up to the
+    sweep's. It is excluded from equality so identical sweeps compare equal.
     """
 
     algorithm: str
     budget: int
     trials: int
+    decisions: tuple[int, ...]
     error_count: int
     accuracy: float
-    log_error: float
-    delta_band: float
-    bernoulli_ci: float
     wall_time: float = field(compare=False, default=0.0)
     note: str = ""
 
@@ -306,32 +272,33 @@ def _plain(x: Any) -> Any:
     return x
 
 
-def _count_errors(
-    config: SweepConfig, best_arm: int, algorithm: str, budget: int, lo: int, hi: int
-) -> int:
-    """Wrong decisions among trials ``lo..hi`` (``hi`` excluded) of one cell
-    of ``config``, run as one batch. Trial t draws from
+def _count_decisions(
+    config: SweepConfig, algorithm: str, budget: int, lo: int, hi: int
+) -> np.ndarray:
+    """How often each arm, at index k, or no arm, at index 0, was returned
+    among trials ``lo..hi`` (``hi`` excluded) of one cell of ``config``, run
+    as one batch: an array of K + 1 counts. Trial t draws from
     ``RngStream(config.base_seed, trial_stream_id(algorithm, budget, t))``;
     the batch's generators are seeded in one vectorised pass that equals
     ``RngStream.generator()`` bit for bit."""
     generators = _stream_generators(config.base_seed, _stream_ids(algorithm, budget, range(lo, hi)))
     params = config.params.get(algorithm, {})
     decisions = _decisions(algorithm, config.instance, budget, generators, **params)
-    return int(np.count_nonzero(decisions != best_arm))
+    return np.bincount(decisions, minlength=config.instance.num_arms + 1)
 
 
-# The sweep's config and best arm in a pool worker, set once per worker by
-# ``_init_worker`` so that the tasks need not carry them.
-_WORKER_SWEEP: tuple[SweepConfig, int] | None = None
+# The sweep's config in a pool worker, set once per worker by
+# ``_init_worker`` so that the tasks need not carry it.
+_WORKER_CONFIG: SweepConfig | None = None
 
 
-def _init_worker(config: SweepConfig, best_arm: int) -> None:
-    global _WORKER_SWEEP
-    _WORKER_SWEEP = (config, best_arm)
+def _init_worker(config: SweepConfig) -> None:
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
 
 
-def _count_errors_task(task: tuple[str, int, int, int]) -> int:
-    return _count_errors(*_WORKER_SWEEP, *task)
+def _count_decisions_task(task: tuple[str, int, int, int]) -> np.ndarray:
+    return _count_decisions(_WORKER_CONFIG, *task)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -348,8 +315,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     breaks the whole process pool: the pool is then started again, the cell
     being collected and every later one queued once more, and that cell's
     note says so. A cell whose run raises otherwise, or breaks the new pool
-    too, is recorded with a note and NaN statistics instead of aborting the
-    sweep.
+    too, is recorded with a note, no decisions, an error count of -1 and a
+    NaN accuracy instead of aborting the sweep.
     """
     _integer("workers", workers, 1)
     best_arm = oracle(config.instance).best_arm
@@ -367,20 +334,20 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
         def start_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(config, best_arm)
+                max_workers=workers, initializer=_init_worker, initargs=(config,)
             )
 
         executor = start_pool()
         broken = (BrokenProcessPool,)
 
-    def cell_errors(c: int) -> int:
-        """Wrong decisions in cell ``c``; with a pool, every cell's tasks are
-        queued first."""
+    def cell_decisions(c: int) -> np.ndarray:
+        """The decision counts of cell ``c``, summed over its spans; with a
+        pool, every cell's tasks are queued first."""
         if executor is None:
-            return sum(_count_errors(config, best_arm, *grid[c], *span) for span in spans)
+            return sum(_count_decisions(config, *grid[c], *span) for span in spans)
         while len(queued) < len(grid):
             key = grid[len(queued)]
-            queued.append([executor.submit(_count_errors_task, (*key, *span)) for span in spans])
+            queued.append([executor.submit(_count_decisions_task, (*key, *span)) for span in spans])
         return sum(future.result() for future in queued[c])
 
     try:
@@ -392,33 +359,27 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
             retried = ""
             try:
                 try:
-                    errors = cell_errors(c)
+                    counts = cell_decisions(c)
                 except broken:
                     executor.shutdown()
                     executor = start_pool()
                     del queued[c:]
                     retried = "retried after a worker crash"
-                    errors = cell_errors(c)
+                    counts = cell_decisions(c)
+                decisions = tuple(counts.tolist())
+                errors = config.trials - decisions[best_arm]
                 notes = (note, retried)
             except Exception as exc:  # recorded per-cell, not fatal
-                errors, notes = -1, (retried, f"failed: {exc}")
+                decisions, errors, notes = (), -1, (retried, f"failed: {exc}")
             start, done = done, time.perf_counter()
-            if errors < 0:
-                accuracy = log_err = delta = bernoulli = math.nan
-            else:
-                accuracy = 1.0 - errors / config.trials
-                log_err = log_error(accuracy)
-                delta, bernoulli = confidence_bands(accuracy, config.trials)
             cells.append(
                 CellResult(
                     algorithm=algorithm,
                     budget=budget,
                     trials=config.trials,
+                    decisions=decisions,
                     error_count=errors,
-                    accuracy=accuracy,
-                    log_error=log_err,
-                    delta_band=delta,
-                    bernoulli_ci=bernoulli,
+                    accuracy=math.nan if errors < 0 else 1.0 - errors / config.trials,
                     wall_time=done - start,
                     note="; ".join(filter(None, notes)),
                 )

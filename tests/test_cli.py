@@ -232,7 +232,7 @@ def test_sweep_end_to_end(tmp_path):
     out = tmp_path / "results.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     table = out.read_text().strip().split("\n")
-    assert table[0].startswith("algorithm,budget,trials,accuracy")
+    assert table[0] == "algorithm,budget,trials,error_count,accuracy"
     assert len(table) == 5
     doc = json.loads((tmp_path / "results.csv.json").read_text())
     assert doc["trials"] == 5

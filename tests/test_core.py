@@ -40,7 +40,6 @@ from fcsr.hardness import (
 from fcsr.harness import (
     SweepConfig,
     build_synthetic,
-    confidence_bands,
     run_sweep,
     trial_stream_id,
     weighted_log_error_slope,
@@ -496,7 +495,6 @@ _INTEGER_INPUTS = {
         for algorithm in ALGORITHM_IDS
     },
     "exponents-budget": ("budget", 0, lambda v: predict_exponents(compute_hardness(_SMALL), v)),
-    "bands-trials": ("trials", 1, lambda v: confidence_bands(0.5, v)),
     "slope-trials": ("trials", 1, lambda v: weighted_log_error_slope([1000, 2000], [0.6, 0.8], v)),
     "sweep-workers": ("workers", 1, lambda v: run_sweep(SweepConfig(**_SMALL_SWEEP), v)),
     "sweep-budgets": ("each item of budgets", 0, lambda v: SweepConfig(**{**_SMALL_SWEEP, "budgets": (v,)})),

@@ -1,6 +1,7 @@
-"""Harness tests: benchmark construction, sweeps, aggregation, bands."""
+"""Harness tests: benchmark construction, sweeps, aggregation."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -20,8 +21,6 @@ from fcsr.harness import (
     CellResult,
     SweepConfig,
     build_synthetic,
-    confidence_bands,
-    log_error,
     run_sweep,
     trial_stream_id,
     weighted_log_error_slope,
@@ -156,7 +155,7 @@ def test_sweep_deterministic_instance_is_exact():
     for cell in result.cells:
         assert cell.accuracy == 1.0
         assert cell.error_count == 0
-        assert cell.log_error == -math.inf
+        assert cell.decisions == (0, 1, 0)
 
 
 def test_sweep_repeatable_and_worker_invariant(monkeypatch):
@@ -197,13 +196,13 @@ def test_a_pool_runs_the_batches_of_a_one_worker_sweep(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", record_submit)
     parallel = run_sweep(config, workers=2)
     ran = []
-    count_errors = harness._count_errors
+    count_decisions = harness._count_decisions
 
-    def record_batch(config, best_arm, *batch):
+    def record_batch(config, *batch):
         ran.append(batch)
-        return count_errors(config, best_arm, *batch)
+        return count_decisions(config, *batch)
 
-    monkeypatch.setattr(harness, "_count_errors", record_batch)
+    monkeypatch.setattr(harness, "_count_decisions", record_batch)
     assert run_sweep(config, workers=1) == parallel
     spans = [(0, 16), (16, 32), (32, 48), (48, 50)]
     assert ran == [(a, b, lo, hi) for a in ("sr", "us") for b in (60, 120) for lo, hi in spans]
@@ -289,13 +288,13 @@ def test_sweep_survives_a_worker_crash_in_a_later_cell(tmp_path, monkeypatch):
         base_seed=3,
         instance_name="crash-later",
     )
-    bands = harness.confidence_bands
+    cell_result = harness.CellResult
 
-    def open_gate(*args):  # called once a cell has been collected
+    def open_gate(**fields):  # called once a cell has been collected
         gate.touch()
-        return bands(*args)
+        return cell_result(**fields)
 
-    monkeypatch.setattr(harness, "confidence_bands", open_gate)
+    monkeypatch.setattr(harness, "CellResult", open_gate)
     parallel = run_sweep(config, workers=2)
     assert flag.exists()
     serial = run_sweep(config, workers=1)
@@ -363,10 +362,10 @@ def test_an_interrupted_pool_sweep_drops_its_queued_tasks(tmp_path, monkeypatch)
     budgets = tuple(range(10, 250, 10))
     config = SweepConfig(instance=instance, algorithms=("us",), budgets=budgets, trials=1, base_seed=3)
 
-    def interrupt(*args):  # called once the first cell has been collected
+    def interrupt(**fields):  # called once the first cell has been collected
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "confidence_bands", interrupt)
+    monkeypatch.setattr(harness, "CellResult", interrupt)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(config, workers=2)
     ran = {int(path.name) for path in tmp_path.iterdir()}
@@ -374,10 +373,33 @@ def test_an_interrupted_pool_sweep_drops_its_queued_tasks(tmp_path, monkeypatch)
     assert len(ran) < len(budgets)
 
 
-def test_sweep_counts_are_integers():
-    result = run_sweep(_tiny_config(trials=7))
-    for cell in result.cells:
-        assert cell.error_count == round((1 - cell.accuracy) * cell.trials)
+def test_sweep_counts_are_integers(monkeypatch):
+    """Each cell's decision histogram has an entry per arm and one for no
+    arm, sums to its trials over a cell of several spans at any worker
+    count, and gives the error count and the accuracy; on an instance with
+    no feasible arm, the right decision is no arm."""
+    monkeypatch.setattr(harness, "_MAX_BATCH", 16)  # 40 trials: three spans
+    infeasible = BanditInstance(
+        arms=((Bernoulli(0.45), Bernoulli(0.6)), (Bernoulli(0.6), Bernoulli(0.4))), threshold=0.5
+    )
+    assert oracle(infeasible).best_arm == 0
+    for instance in (build_synthetic("risky", num_arms=4, num_attributes=2), infeasible):
+        best = oracle(instance).best_arm
+        config = SweepConfig(
+            instance=instance,
+            algorithms=("fcsr", "sr", "us", "etc"),
+            budgets=(40, 400),
+            trials=40,
+            base_seed=11,
+        )
+        results = [run_sweep(config, workers) for workers in (1, 2)]
+        assert results[0] == results[1]
+        for cell in results[0].cells:
+            assert all(type(count) is int for count in (*cell.decisions, cell.error_count))
+            assert len(cell.decisions) == instance.num_arms + 1
+            assert sum(cell.decisions) == cell.trials
+            assert cell.error_count == cell.trials - cell.decisions[best]
+            assert cell.accuracy == 1 - cell.error_count / cell.trials
 
 
 def test_sweep_low_budget_note():
@@ -482,6 +504,8 @@ def test_sweep_records_cell_failures():
     result = run_sweep(config)
     sr_cell = result.cell("sr", 50)
     assert sr_cell.note.startswith("failed:")
+    assert sr_cell.decisions == ()
+    assert sr_cell.error_count == -1
     assert math.isnan(sr_cell.accuracy)
     assert result.cell("us", 50).accuracy == 1.0
     # A failed cell's note is the failure alone; a low budget is noted only
@@ -494,64 +518,33 @@ def test_sweep_records_cell_failures():
 
 
 def test_cell_equality_ignores_wall_time():
-    a = CellResult("us", 10, 5, 1, 0.8, math.log(0.2), 0.1, 0.2, wall_time=1.0)
-    b = CellResult("us", 10, 5, 1, 0.8, math.log(0.2), 0.1, 0.2, wall_time=9.0)
-    assert a == b
+    cell = dict(algorithm="us", budget=10, trials=5, decisions=(0, 4, 1), error_count=1, accuracy=0.8)
+    assert CellResult(**cell, wall_time=1.0) == CellResult(**cell, wall_time=9.0)
 
 
 # ---------------------------------------------------------------------------
-# Aggregation formulas
+# Tables and JSON documents
 # ---------------------------------------------------------------------------
-
-
-def test_confidence_bands_reference_values():
-    delta, bernoulli = confidence_bands(0.5, 2000)
-    assert bernoulli == pytest.approx(1.96 * math.sqrt(0.25 / 2000), rel=1e-12)
-    assert bernoulli == pytest.approx(0.02191, abs=5e-6)
-    assert delta == pytest.approx(math.sqrt(0.5 / (2000 * 0.5)), rel=1e-12)
-
-    _, bernoulli = confidence_bands(0.916, 1000)
-    assert bernoulli == pytest.approx(0.0172, abs=5e-5)
-
-
-def test_confidence_bands_boundaries():
-    assert confidence_bands(0.0, 50) == (0.0, 0.0)
-    delta, bernoulli = confidence_bands(1.0, 50)
-    assert math.isinf(delta)  # open band, flagged rather than raised
-    assert bernoulli == 0.0
-    with pytest.raises(ValueError):
-        confidence_bands(1.2, 50)
-    with pytest.raises(ValueError):
-        confidence_bands(0.5, 0)
-    for trials in (math.nan, 2.5, True):
-        with pytest.raises(ValueError, match=rf"trials must be an integer, got {trials!r}"):
-            confidence_bands(0.5, trials)
-
-
-def test_log_error_marker():
-    assert log_error(1.0) == -math.inf
-    assert log_error(0.0) == 0.0
-    assert log_error(0.5) == pytest.approx(math.log(0.5))
 
 
 def test_table_format():
     result = run_sweep(_tiny_config(trials=2))
     table = result.to_table()
     lines = table.strip().split("\n")
-    assert lines[0] == "algorithm,budget,trials,accuracy,log_error,delta_band,bernoulli_ci"
+    assert lines[0] == "algorithm,budget,trials,error_count,accuracy"
     assert len(lines) == 1 + 4  # two algorithms x two budgets
-    first = lines[1].split(",")
-    assert first[0] == "fcsr"
-    assert first[4] == "-inf"  # perfect accuracy serializes as the -inf marker
-    assert float(first[3]) == 1.0
+    assert lines[1] == "fcsr,60,2,0,1.0"
 
 
 def test_json_serialization_markers():
-    result = run_sweep(_tiny_config(trials=2))
-    doc = result.to_json_dict()
-    assert doc["cells"][0]["log_error"] == "-inf"
-    assert doc["cells"][0]["delta_band"] == "inf"
-    assert doc["cells"][0]["accuracy"] == 1.0
+    # One arm: `sr` fails, so its accuracy is NaN, written as "nan".
+    single = BanditInstance(arms=((Bernoulli(0.9),),), threshold=0.5)
+    config = SweepConfig(instance=single, algorithms=("sr", "us"), budgets=(50,), trials=2, base_seed=1)
+    doc = run_sweep(config).to_json_dict()
+    failed, ran = doc["cells"]
+    assert (failed["decisions"], failed["error_count"], failed["accuracy"]) == ([], -1, "nan")
+    assert (ran["decisions"], ran["error_count"], ran["accuracy"]) == ([0, 2], 0, 1.0)
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
 
 
 # ---------------------------------------------------------------------------
