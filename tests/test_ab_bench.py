@@ -119,3 +119,53 @@ def test_a_malformed_seed_range_stops_before_any_checkout(monkeypatch, capsys, t
 def test_seed_range_reads_both_ends():
     assert ab_bench.parse_seeds("401-410") == list(range(401, 411))
     assert ab_bench.parse_seeds("7-7") == [7]
+
+
+def test_bench_runs_the_traced_suite_when_asked(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("import json, sys\nprint(json.dumps(sys.argv[1:]))\n",
+                                               encoding="utf-8")
+    for trace, flag in ((False, "0"), (True, "1")):
+        argv = ab_bench.bench(tmp_path, "fcsr-risky", 3, tmp_path / "pycache", trace)
+        assert argv == ["--workload", "fcsr-risky", "--seed", "3", "--trace", flag]
+
+
+def _traced_main(monkeypatch, failed: dict[tuple[str, int], int]) -> int:
+    """``main --trace`` over fake traced runs: every per-layer metric reads
+    the seed on the ref and twice the seed on the change, and run (side,
+    seed) reports ``failed[(side, seed)]`` failed trials."""
+    names = [m["name"] for m in json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    seen = []
+
+    def fake_bench(checkout, workload, seed, pycache, trace=False):
+        side = "change" if checkout == ab_bench.ROOT else "ref"
+        seen.append((side, seed, trace))
+        value = seed * (2.0 if side == "change" else 1.0)
+        return {"correct": True, "failed": failed.get((side, seed), 0), "attempted": 10,
+                "metrics": {name: {"value": value, "unit": "ns"} for name in names}}
+
+    monkeypatch.setattr(ab_bench, "bench", fake_bench)
+    monkeypatch.setattr(ab_bench, "source_size", lambda checkout: (3000, 33))
+    # The ref's extraction: git archive, then tar, run as no-ops.
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, 0, b""))
+    code = ab_bench.main(["--ref", "HEAD", "--workload", "fcsr-risky", "--seeds", "1-3", "--trace"])
+    assert seen == [("ref", 1, True), ("change", 1, True), ("change", 2, True), ("ref", 2, True),
+                    ("ref", 3, True), ("change", 3, True)]
+    return code
+
+
+def test_trace_mode_prints_each_per_layer_median_and_ratio(monkeypatch, capsys):
+    assert _traced_main(monkeypatch, {}) == 0
+    out = capsys.readouterr().out.splitlines()
+    layer = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    rows = {line.split()[0]: line.split()[1:] for line in out if line.startswith(("algorithms.", "core.",
+            "hardness.", "harness.", "movielens.", "serialize.", "trace."))}
+    assert list(rows) == [m["name"] for m in layer]
+    assert all(cols == ["2", "4", "2.000"] for cols in rows.values())
+    assert not {"gain", "regressed", "unresolved", "ok"} & {word for line in out for word in line.split()}
+    assert out[-1] == "every run read correct=true with 0 failed"
+
+
+def test_trace_mode_fails_on_a_run_with_failed_trials(monkeypatch, capsys):
+    assert _traced_main(monkeypatch, {("change", 2): 1}) == 1
+    assert "runs not correct: [('change', 2)]" in capsys.readouterr().out

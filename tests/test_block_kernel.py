@@ -10,6 +10,8 @@ so a change that stops reaching either path fails here rather than passing
 silently.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from fcsr.algorithms import (
     uniform_phase,
 )
 from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, StatsState
+from fcsr.harness import build_synthetic
 from scalar_kernel import ScalarRunState
 
 KINDS = ("gaussian", "bernoulli", "empirical")
@@ -303,8 +306,11 @@ def test_apt_passes_on_one_state_match_scalar_oracle_at_ties(monkeypatch, crossi
 
 
 def test_cumsum_adds_like_sequential_sum():
-    """np.cumsum over [s, x1, ..., xn] equals the scalar s += x, bit for bit."""
+    """np.cumsum over [s, x1, ..., xn] equals the scalar s += x, bit for bit,
+    and so does ``_gallop``'s form: ``np.add.accumulate`` in place over the
+    head of one ``_CHUNK + 1`` buffer, reused by runs of every length."""
     rng = np.random.default_rng(4)
+    buffer = np.empty(_CHUNK + 1)
     for _ in range(2000):
         n = int(rng.integers(1, 600))
         start = float(rng.normal(0.0, 10.0 ** rng.integers(-3, 4)))
@@ -317,3 +323,85 @@ def test_cumsum_adds_like_sequential_sum():
             s += x
             sequential.append(s)
         assert np.cumsum(run)[1:].tobytes() == np.array(sequential).tobytes()
+        k = min(n, _CHUNK)
+        buffer[0] = start
+        buffer[1:k + 1] = values[:k]
+        head = buffer[:k + 1]
+        np.add.accumulate(head, out=head)
+        assert buffer[1:k + 1].tobytes() == np.array(sequential[:k]).tobytes()
+
+
+@pytest.fixture
+def ladders(monkeypatch):
+    """Each ladder that ``_ladder`` returns, in order, from an empty one."""
+    seen: list[tuple] = []
+    ladder = algorithms._ladder
+
+    def recorded(top):
+        out = ladder(top)
+        if not seen or out is not seen[-1]:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(algorithms, "_LADDER", (np.empty(0), np.empty(0)))
+    monkeypatch.setattr(algorithms, "_ladder", recorded)
+    return seen
+
+
+def test_ladder_is_exact_read_only_and_grows_by_powers_of_two(ladders):
+    """An FCSR run at T=90000 grows the ladder through powers of two; every
+    count is exact and every root is ``math.sqrt``'s, byte for byte; each
+    size keeps the smaller one's entries; and nothing can write into it."""
+    run_fcsr(build_synthetic("risky"), 90000, np.random.default_rng(9))
+    sizes = [len(counts) for counts, _ in ladders]
+    assert len(sizes) > 1 and sizes == sorted(set(sizes))
+    assert all(size & (size - 1) == 0 for size in sizes)
+    assert ladders[-1] is algorithms._LADDER
+    counts, roots = ladders[-1]
+    top = len(counts)
+    assert counts.tobytes() == np.array([float(i) for i in range(top)]).tobytes()
+    assert roots.tobytes() == np.array([math.sqrt(i) for i in range(top)]).tobytes()
+    for smaller, size in zip(ladders, sizes):
+        assert counts[:size].tobytes() == smaller[0].tobytes()
+        assert roots[:size].tobytes() == smaller[1].tobytes()
+    for table in (counts, roots):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(table, 1.0, out=table)
+
+
+def _past_the_first_ladder(kind: str, seed: int, fresh):
+    """APT and SUF, each from a ladder that ``fresh()`` sets back to its
+    first size, ``_CHUNK``, and from a preset count below it, on an instance
+    from :func:`_stay_instance`: the APT run's single pulls stop below that
+    size and its block goes on past it, one SUF run is a block across it,
+    and one is a block whose last count is that size."""
+    instance = _stay_instance(kind, seed)
+    tau = instance.threshold
+    gen = np.random.default_rng([seed, 7])
+    out = []
+    starts = ((apt_phase, _CHUNK - _GALLOP - 8), (sample_until_feasible, _CHUNK - 3),
+              (sample_until_feasible, _CHUNK - 100))
+    for phase, start in starts:
+        fresh()
+        stats = StatsState.for_instance(instance)
+        stats.pull_counts[0, 0] = start
+        stats.reward_sums[0, 0] = 0.25 * start
+        stats.empirical_means[0, 0] = 0.25
+        out.append((phase(instance, stats, 1, 100, tau, gen), _stats_bytes(stats)))
+    return out, gen.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_past_the_first_ladder_match_scalar_oracle(kind, monkeypatch, blocks, ladders):
+    def fresh():
+        monkeypatch.setattr(algorithms, "_LADDER", (np.empty(0), np.empty(0)))
+        algorithms._ladder(_CHUNK - 1)
+
+    for seed in range(4):
+        block, scalar = _both(monkeypatch, lambda: _past_the_first_ladder(kind, seed, fresh))
+        assert block == scalar, f"{kind} seed {seed}"
+    assert len(blocks) == 3 * 4
+    sizes = [len(counts) for counts, _ in ladders]
+    assert sizes.count(_CHUNK) == 2 * 3 * 4 and sizes.count(2 * _CHUNK) == 3 * 4, "a block did not grow the ladder"

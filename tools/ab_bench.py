@@ -38,6 +38,15 @@ lines of ``src/fcsr/*.py`` and the number of names ``fcsr`` exports. Each
 run's metrics go to stderr as it ends. The script exits 1 when a metric
 regressed, or when a run did not read ``correct=true`` with 0 failed, and
 names the runs that did not.
+
+With ``--trace`` it runs ``bench/run.py --trace 1`` instead, on the same
+alternating pairs, and prints, for each per-layer metric that
+``BENCHMARK.json`` declares, each side's median and the change's median over
+the ref's, with no verdict: one traced run per tree reads drift between
+processes as large as the changes it is meant to show. The exit rule on
+``correct=true`` with 0 failed is the same.
+
+    python3 tools/ab_bench.py --ref HEAD~1 --workload fcsr-risky --seeds 401-405 --trace
 """
 
 from __future__ import annotations
@@ -64,11 +73,12 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(int(match[1]), int(match[2]) + 1))
 
 
-def bench(checkout: Path, workload: str, seed: int, pycache: Path) -> dict:
+def bench(checkout: Path, workload: str, seed: int, pycache: Path, trace: bool = False) -> dict:
     """One ``bench/run.py`` run in ``checkout``, of the benchmark's own length,
-    with bytecode read from and written to ``pycache`` only; its last stdout
-    line, parsed."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    traced when ``trace`` is set, with bytecode read from and written to
+    ``pycache`` only; its last stdout line, parsed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", str(int(trace))]
     # Bytecode is written even where PYTHONDONTWRITEBYTECODE is set, so that
     # only a side's first run compiles: numpy's installed bytecode is not
     # read from under a prefix either.
@@ -127,6 +137,14 @@ def row(name: str, ref: list[float], new: list[float]) -> str:
     return f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f}"
 
 
+def layer_row(name: str, ref: list[float], new: list[float]) -> str:
+    """A per-layer row: each side's median and the change's median over the
+    ref's, ``-`` when the ref's median is 0."""
+    r2, c2 = statistics.median(ref), statistics.median(new)
+    ratio = f"{c2 / r2:.3f}" if r2 else "-"
+    return f"{name:<42} {r2:<12.5g} {c2:<12.5g} {ratio}"
+
+
 def wins(ref: list[float], new: list[float], higher: bool) -> int:
     """How many pairs (ref[i], new[i]) the change won."""
     return sum((b > a) if higher else (b < a) for a, b in zip(ref, new, strict=True))
@@ -152,12 +170,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ref", required=True, help="git ref to compare against, e.g. HEAD~1")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help='"lo-hi", e.g. "401-410"; one pair per seed')
+    parser.add_argument("--trace", action="store_true",
+                        help="compare the per-layer metrics of bench/run.py --trace 1")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(str(exc))
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     runs: dict[str, list[dict]] = {"ref": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-bench-") as tmp:
@@ -171,10 +191,12 @@ def main(argv: list[str] | None = None) -> int:
         for i, seed in enumerate(seeds):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                result = bench(sides[side], args.workload, seed, pycaches[side])
-                informational = {"sweep trials/s": whole_sweep(sides[side], args.workload, seed),
-                                 **setup_parts(sides[side], args.workload, seed)}
-                runs[side].append({"seed": seed, "informational": informational, **result})
+                result = bench(sides[side], args.workload, seed, pycaches[side], args.trace)
+                if not args.trace:
+                    result["informational"] = {
+                        "sweep trials/s": whole_sweep(sides[side], args.workload, seed),
+                        **setup_parts(sides[side], args.workload, seed)}
+                runs[side].append({"seed": seed, **result})
                 print(f"seed {seed} {side}: correct={result['correct']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr)
@@ -184,20 +206,25 @@ def main(argv: list[str] | None = None) -> int:
           f"seeds {args.seeds}")
     print("source lines, exported names: "
           + ", ".join(f"{side} {lines}, {names}" for side, (lines, names) in sizes.items()))
-    print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins  verdict")
     regressed = []
-    for metric in declared:
-        name = metric["name"]
-        ref = [r["metrics"][name]["value"] for r in runs["ref"]]
-        new = [r["metrics"][name]["value"] for r in runs["change"]]
-        higher = metric["better"] == "higher"
-        mark = verdict(ref, new, higher, metric["bound"])
-        if mark == "regressed":
-            regressed.append(name)
-        print(f"{row(name, ref, new)} {wins(ref, new, higher):>2}/{len(seeds):<3} {mark}")
-    for name in runs["ref"][0]["informational"]:
-        ref, new = ([r["informational"][name] for r in runs[side]] for side in ("ref", "change"))
-        print(f"{row(name, ref, new)} informational, no verdict")
+    if args.trace:
+        print(f"{'per-layer metric':<42} {'ref median':<12} {'change median':<12} ratio, no verdict")
+        for metric in declared["per_layer"]:
+            ref, new = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs)
+            print(layer_row(metric["name"], ref, new))
+    else:
+        print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins  verdict")
+        for metric in declared["end_to_end"]:
+            name = metric["name"]
+            ref, new = ([r["metrics"][name]["value"] for r in runs[side]] for side in runs)
+            higher = metric["better"] == "higher"
+            mark = verdict(ref, new, higher, metric["bound"])
+            if mark == "regressed":
+                regressed.append(name)
+            print(f"{row(name, ref, new)} {wins(ref, new, higher):>2}/{len(seeds):<3} {mark}")
+        for name in runs["ref"][0]["informational"]:
+            ref, new = ([r["informational"][name] for r in runs[side]] for side in runs)
+            print(f"{row(name, ref, new)} informational, no verdict")
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
     if wrong:
         print(f"runs not correct: {wrong}")
