@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -45,6 +44,7 @@ from .core import (
     _as_generator,
     _gated_scores,
     _integer,
+    _real,
 )
 
 __all__ = [
@@ -69,13 +69,11 @@ def _floor_mul(frac: Fraction, n: int) -> int:
 
 
 def _fraction(name: str, x: float | Fraction) -> Fraction:
-    """The exact value of the run fraction ``name``, a real number (a bool is
-    not one) in [0, 1); 0 gives its stage no budget. Floats go through their
-    shortest decimal repr, so 0.2 means exactly 1/5, not the nearest double."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-    if not 0 <= x < 1:
-        raise ValueError(f"{name} must lie in [0, 1), got {x}")
+    """The exact value of the run fraction ``name``, which ``_real`` checks
+    for the domain [0, 1); 0 gives its stage no budget. It is computed from
+    ``x``, not from the checked float: floats go through their shortest
+    decimal repr, so 0.2 means exactly 1/5, not the nearest double."""
+    _real(name, x, "[0, 1)")
     return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
@@ -856,8 +854,8 @@ ALGORITHM_PARAMS = {
 def _check_params(name: str, params: dict[str, float]) -> dict[str, Fraction]:
     """The exact value of each of ``params`` (:func:`_fraction`: every run
     keyword is a fraction in [0, 1)); a ValueError names an unknown
-    algorithm, each key that the algorithm does not read, or a key whose
-    value is no such fraction."""
+    algorithm or each key that the algorithm does not read, and ``_real``'s
+    ValueError names a key whose value is no real number in [0, 1)."""
     if name not in _RUNS:
         raise ValueError(
             f"unknown algorithm {name!r}; valid identifiers: {', '.join(ALGORITHM_IDS)}"

@@ -55,10 +55,8 @@ class Gaussian:
     variance: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"Gaussian mean must be finite, got {self.mean}")
-        if not 0.0 <= self.variance < math.inf:
-            raise ValueError(f"Gaussian variance must be finite and >= 0, got {self.variance}")
+        object.__setattr__(self, "mean", _real("Gaussian mean", self.mean))
+        object.__setattr__(self, "variance", _real("Gaussian variance", self.variance, "[0, inf)"))
 
     @property
     def std(self) -> float:
@@ -84,8 +82,7 @@ class Bernoulli:
     p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"Bernoulli p must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "p", _real("Bernoulli p", self.p, "[0, 1]"))
 
     def true_mean(self) -> float:
         return self.p
@@ -270,6 +267,21 @@ def _integer(name: str, value: object, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(name: str, value: object, domain: str = "(-inf, inf)") -> float:
+    """``value`` as a float: the one rule for every real input. A ValueError
+    naming ``name`` when it is no finite real number (a bool is not one; a
+    NaN fails every comparison) or lies outside ``domain``, interval text
+    such as "[0, 1)" whose brackets say which ends it includes."""
+    low, high = map(float, domain[1:-1].split(","))
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or a Fraction too large for a float
+        x = math.nan
+    if (low <= x if domain[0] == "[" else low < x) and (x <= high if domain[-1] == "]" else x < high):
+        return x
+    raise ValueError(f"{name} must be a real number in {domain}, got {value!r}")
+
+
 def _as_generator(rng: RngStream | Generator) -> Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
@@ -306,8 +318,7 @@ class BanditInstance:
             raise ValueError("arm_labels length must equal the number of arms")
         if self.attribute_labels is not None and len(self.attribute_labels) != m:
             raise ValueError("attribute_labels length must equal the attribute count")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold}")
+        object.__setattr__(self, "threshold", _real("threshold", self.threshold))
         object.__setattr__(self, "arms", arms)
 
     @property

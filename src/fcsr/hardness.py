@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BanditInstance, Bernoulli, _integer, oracle
+from .core import BanditInstance, Bernoulli, _integer, _real, oracle
 
 __all__ = [
     "HardnessReport",
@@ -185,14 +185,11 @@ def predict_exponents(
     zero exponents.
 
     Raises:
-        ValueError: if R is not positive and finite, the budget is not an
+        ValueError: if R is no real number in (0, inf), the budget is not an
             integer >= 0, or the overall hardness is 0 (an unconstrained
             trivial instance, for which the prediction is vacuous).
     """
-    if not 0.0 < sub_gaussian_r < math.inf:
-        raise ValueError(
-            f"sub-Gaussian parameter R must be positive and finite, got {sub_gaussian_r}"
-        )
+    sub_gaussian_r = _real("sub-Gaussian parameter R", sub_gaussian_r, "(0, inf)")
     _integer("budget", budget, 0)
     if report.overall_hardness <= 0.0:
         raise ValueError(
@@ -233,8 +230,7 @@ def generate_feasibility_class(d: float, num_arms: int) -> list[BanditInstance]:
         d: gap parameter in (0, 1/4].
         num_arms: K = M >= 2.
     """
-    if not 0.0 < d <= 0.25:
-        raise ValueError(f"gap d must lie in (0, 0.25], got {d}")
+    d = _real("gap d", d, "(0, 0.25]")
     m = _integer("num_arms", num_arms, 2)
     low = Bernoulli(0.5 - d)
     high = Bernoulli(0.5 + d)
@@ -267,8 +263,7 @@ def generate_risky_class(
         num_arms: K >= 2.
         num_attributes: M >= 2.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    beta = _real("beta", beta, "(0, 1)")
     k = _integer("num_arms", num_arms, 2)
     m = _integer("num_attributes", num_attributes, 2)
     threshold = 3.0 / 8.0

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .algorithms import _check_params, _decisions
-from .core import BanditInstance, Gaussian, _integer, _stream_generators, oracle
+from .core import BanditInstance, Gaussian, _integer, _real, _stream_generators, oracle
 
 __all__ = [
     "GAUSSIAN_VARIANCE",
@@ -60,7 +60,7 @@ def build_synthetic(
     accuracy curves for this family are extremely sensitive to whether the
     noise scale is read as a variance or a standard deviation (0.3 vs 0.09),
     so the variance is exposed as a parameter; see the README's reproduction
-    notes. The gap parameter ``a`` controls difficulty and must lie in
+    notes. The gap parameter ``a`` controls difficulty, a real number in
     (0.001, 0.1); defaults are 0.01 except for the pure mean-identification
     instance (0.003).
 
@@ -86,9 +86,7 @@ def build_synthetic(
         raise ValueError(
             f"unknown synthetic instance {name!r}; choose one of {SYNTHETIC_NAMES}"
         )
-    a = _DEFAULT_GAP[name] if gap is None else gap
-    if not 0.001 < a < 0.1:
-        raise ValueError(f"gap parameter must lie in (0.001, 0.1), got {a}")
+    a = _real("gap", _DEFAULT_GAP[name] if gap is None else gap, "(0.001, 0.1)")
     k = _integer("num_arms", num_arms, 2)
     m = _integer("num_attributes", num_attributes, 1 if name == "mean" else 2)
 

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import BanditInstance, Bernoulli, Empirical, _integer
+from .core import BanditInstance, Bernoulli, Empirical, _integer, _real
 
 __all__ = [
     "RATING_MIN",
@@ -196,6 +196,7 @@ class PortfolioSpec:
     arm_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold", _real("threshold", self.threshold))
         object.__setattr__(self, "min_ratings", _integer("min_ratings", self.min_ratings, 1))
         if not self.genres:
             raise ValueError("portfolio spec needs at least one genre")

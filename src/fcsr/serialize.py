@@ -108,12 +108,9 @@ def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistributio
             raise ValueError(f"unknown distribution kind {kind!r}")
         _keys(data, valid, valid, f"a {kind} attribute")
         if kind == "gaussian":
-            return Gaussian(
-                mean=_typed(data["mean"], float, "mean"),
-                variance=_typed(data["variance"], float, "variance"),
-            )
+            return Gaussian(mean=data["mean"], variance=data["variance"])
         if kind == "bernoulli":
-            return Bernoulli(p=_typed(data["p"], float, "p"))
+            return Bernoulli(p=data["p"])
         return Empirical(values=_typed_items(data["values"], float, "values"))
     except ValueError as exc:
         raise ValueError(f"arm {arm} attribute {attribute}: {exc}") from exc
@@ -150,7 +147,7 @@ def instance_from_dict(doc: Any) -> BanditInstance:
         labels.append(_typed(arm.get("label", str(a)), str, f"arm {a} label"))
     return BanditInstance(
         arms=tuple(arms),
-        threshold=_typed(doc["threshold"], float, "threshold"),
+        threshold=doc["threshold"],
         arm_labels=tuple(labels) if any("label" in arm for arm in arm_docs) else None,
         attribute_labels=(
             _typed_items(doc["attribute_labels"], str, "attribute_labels")
@@ -255,8 +252,8 @@ def portfolio_from_dict(doc: Any, threshold: float, min_ratings: int) -> Portfol
     return PortfolioSpec(
         genres=_typed_items(doc["genres"], str, "genres"),
         arms=arms,
-        threshold=_typed(doc.get("threshold", threshold), float, "threshold"),
-        min_ratings=_typed(doc.get("min_ratings", min_ratings), int, "min_ratings"),
+        threshold=doc.get("threshold", threshold),
+        min_ratings=doc.get("min_ratings", min_ratings),
         arm_labels=_typed_items(doc["arm_labels"], str, "arm_labels") if "arm_labels" in doc else None,
     )
 

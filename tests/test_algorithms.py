@@ -19,6 +19,7 @@ from fcsr.algorithms import (
     uniform_phase,
 )
 from fcsr.core import BanditInstance, Bernoulli, Gaussian, RngStream, StatsState
+from fcsr.harness import build_synthetic
 from reference_model import schedule_cumulative
 
 # Two arms, deterministic rewards: arm 1 always pays 1, arm 2 always 0.
@@ -465,3 +466,32 @@ def test_budget_compliance_randomized_small():
         )
         assert trace.pulls_total <= budget
         assert trace.pulls_total == sum(trace.pulls_by_phase.values())
+
+
+def _scaled(instance, c):
+    """``instance`` with every mean and the threshold times c and every
+    variance times c**2."""
+    rows = tuple(tuple(Gaussian(c * d.mean, c * c * d.variance) for d in row) for row in instance.arms)
+    return BanditInstance(rows, c * instance.threshold)
+
+
+@pytest.mark.parametrize("c", [2.0, 0.25])
+@pytest.mark.parametrize("name", ["risky", "feasibility", "mean", "combined"])
+def test_scaling_the_gaussian_instance_by_a_power_of_two_scales_every_score_exactly(name, c):
+    # A power of two makes every floating-point step exact: the draws' location
+    # and scale, the sums, the means, the APT score and the gate. So no
+    # decision may move and every score scales by c; a pass that used an
+    # absolute constant, such as a hard-coded threshold, would break this.
+    instance = build_synthetic(name)
+    scaled = _scaled(instance, c)
+    for algorithm in ALGORITHM_IDS:
+        for budget in (1000, 5000, 41838):
+            rng = RngStream(seed=budget, stream_id=7)
+            trace = run_algorithm(algorithm, instance, budget, rng)
+            moved = run_algorithm(algorithm, scaled, budget, rng)
+            assert moved.per_round_scores == tuple(
+                tuple((arm, c * score) for arm, score in scores) for scores in trace.per_round_scores
+            ), (algorithm, budget)
+            assert (moved.decision, moved.pulls_total, moved.pulls_by_phase, moved.elimination_order) == (
+                trace.decision, trace.pulls_total, trace.pulls_by_phase, trace.elimination_order
+            ), (algorithm, budget)

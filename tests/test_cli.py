@@ -84,7 +84,7 @@ def test_hardness_rejects_a_non_finite_r(tmp_path, capsys, r):
     path = tmp_path / "mean.json"
     write_instance(build_synthetic("mean"), path)
     assert main(["hardness", str(path), "--r", r]) == 2
-    assert "parameter R must be positive and finite" in capsys.readouterr().err
+    assert f"sub-Gaussian parameter R must be a real number in (0, inf), got {r}" in capsys.readouterr().err
 
 
 def test_hardness_writes_infinite_risky_hardness_as_a_string(tmp_path, capsys):
@@ -155,10 +155,10 @@ def test_run_rejects_non_finite_threshold(tmp_path, capsys):
     path.write_text(json.dumps(doc))  # written as the bare token NaN
     assert "NaN" in path.read_text()
     assert main(["run", str(path), "--algorithm", "fcsr", "--budget", "500", "--seed", "1"]) == 2
-    assert "threshold must be finite" in capsys.readouterr().err
+    assert "threshold must be a real number in (-inf, inf), got nan" in capsys.readouterr().err
     write_instance(build_synthetic("risky"), path)
     assert main(["run", str(path), "--algorithm", "us", "--budget", "500", "--tau", "nan"]) == 2
-    assert "threshold must be finite" in capsys.readouterr().err
+    assert "threshold must be a real number in (-inf, inf), got nan" in capsys.readouterr().err
 
 
 def test_run_tau_replaces_the_instance_threshold_and_is_recorded(tmp_path, capsys):
@@ -187,8 +187,8 @@ def test_run_rejects_flags_and_budgets_the_algorithm_cannot_use(tmp_path, capsys
         (["us", "--budget", "500", "--f", "0.3"], "'us' does not read ['feasibility_fraction']"),
         (["sr", "--budget", "500", "--explore-fraction", "0.5"], "'sr' does not read ['explore_fraction']"),
         (["etc", "--budget", "-5"], "budget must be at least 0, got -5"),
-        (["fcsr", "--budget", "500", "--g", "1.0"], "apt_fraction must lie in [0, 1), got 1.0"),
-        (["fcsr", "--budget", "500", "--f", "-0.1"], "feasibility_fraction must lie in [0, 1), got -0.1"),
+        (["fcsr", "--budget", "500", "--g", "1.0"], "apt_fraction must be a real number in [0, 1), got 1.0"),
+        (["fcsr", "--budget", "500", "--f", "-0.1"], "feasibility_fraction must be a real number in [0, 1), got -0.1"),
     ):
         assert main(run + argv) == 2
         assert message in capsys.readouterr().err
@@ -202,7 +202,7 @@ def test_run_names_arm_and_attribute_of_bad_distribution(tmp_path, capsys):
     path = tmp_path / "nan-mean.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--algorithm", "fcsr", "--budget", "500", "--seed", "1"]) == 2
-    assert "arm 2 attribute 3: Gaussian mean must be finite, got nan" in capsys.readouterr().err
+    assert "arm 2 attribute 3: Gaussian mean must be a real number in (-inf, inf), got nan" in capsys.readouterr().err
 
 
 def test_run_logs_default_seed(tmp_path, capsys):
@@ -310,9 +310,9 @@ def test_sweep_config_rejects_bad_params(tmp_path):
     doc = json.loads(_sweep_config(tmp_path, algorithms=["us"]).read_text())
     for algorithms, params, message in (
         (["etc"], {"etc": {"explore_fraction": "0.3"}},
-         "algorithm 'etc': explore_fraction must be a real number, got '0.3'"),
+         "algorithm 'etc': explore_fraction must be a real number in [0, 1), got '0.3'"),
         (["etc"], {"etc": {"explore_fraction": True}},
-         "algorithm 'etc': explore_fraction must be a real number, got True"),
+         "algorithm 'etc': explore_fraction must be a real number in [0, 1), got True"),
         (["us"], {"etc": {"explore_fraction": 0.5}}, "params for ['etc'], which the sweep does not run"),
     ):
         with pytest.raises(ValueError) as err:
@@ -324,9 +324,9 @@ def test_sweep_config_rejects_bad_params(tmp_path):
     "cases",
     [
         [({"fcsr": {"threshold": 0.45}}, "algorithm 'fcsr' does not read ['threshold']")],
-        [({"fcsr": {"apt_fraction": x}}, f"algorithm 'fcsr': apt_fraction must lie in [0, 1), got {x}")
+        [({"fcsr": {"apt_fraction": x}}, f"algorithm 'fcsr': apt_fraction must be a real number in [0, 1), got {x}")
          for x in (1.0, -0.5)],
-        [({"etc": {"explore_fraction": x}}, f"algorithm 'etc': explore_fraction must lie in [0, 1), got {x}")
+        [({"etc": {"explore_fraction": x}}, f"algorithm 'etc': explore_fraction must be a real number in [0, 1), got {x}")
          for x in (1.0, -0.5)],
     ],
     ids=["threshold", "apt-fraction", "explore-fraction"],
@@ -401,7 +401,7 @@ def _bernoulli_with_variance(doc):
 @pytest.mark.parametrize(
     "spoil, message",
     [
-        (_bad_mean, "arm 1 attribute 1: mean must be a number, got [1]"),
+        (_bad_mean, "arm 1 attribute 1: Gaussian mean must be a real number in (-inf, inf), got [1]"),
         (_bad_attributes, "arm 1 attributes must be a JSON array, got {'mean': 0.5}"),
         (lambda doc: [doc], "an instance document must be a JSON object, got [{"),
         (_misspelt_label, "arm 1 has keys it does not read: ['lable']"),

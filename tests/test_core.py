@@ -4,6 +4,7 @@ the public names of every module."""
 import importlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,67 @@ def test_distribution_validation():
     for bad_threshold in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="threshold"):
             BanditInstance(arms=((Bernoulli(0.5),),), threshold=bad_threshold)
+
+
+# Each real input: how to feed it a value, the field its error names, and a
+# value just outside its domain.
+_REAL_INPUTS = {
+    "gaussian-mean": (lambda v: Gaussian(v, 0.3), "Gaussian mean", math.inf),
+    "gaussian-variance": (lambda v: Gaussian(0.5, v), "Gaussian variance", math.nextafter(0.0, -1.0)),
+    "bernoulli-p": (Bernoulli, "Bernoulli p", math.nextafter(1.0, 2.0)),
+    "instance-threshold": (
+        lambda v: BanditInstance(arms=((Bernoulli(0.5),),), threshold=v), "threshold", -math.inf,
+    ),
+    "portfolio-threshold": (
+        lambda v: PortfolioSpec(genres=("Drama",), arms=({"Drama": 1},), threshold=v), "threshold", math.inf,
+    ),
+    "synthetic-gap": (lambda v: build_synthetic("risky", gap=v), "gap", 0.1),
+    "sub-gaussian-r": (
+        lambda v: predict_exponents(compute_hardness(build_synthetic("risky")), 10, sub_gaussian_r=v),
+        "sub-Gaussian parameter R", 0.0,
+    ),
+    "feasibility-class-d": (lambda v: generate_feasibility_class(v, 3), "gap d", math.nextafter(0.25, 1.0)),
+    "risky-class-beta": (lambda v: generate_risky_class(v, 3, 2), "beta", 1.0),
+    **{
+        f"{name}-{key}": (
+            lambda v, name=name, key=key: run_algorithm(
+                name, build_synthetic("risky"), 100, RngStream(1), **{key: v}
+            ),
+            key, 1.0,
+        )
+        for name, key in (
+            ("fcsr", "feasibility_fraction"), ("fcsr", "apt_fraction"), ("etc", "explore_fraction"),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "str", "nan", "outside"])
+@pytest.mark.parametrize("input_name", list(_REAL_INPUTS))
+def test_every_real_input_rejects_a_bool_a_string_a_nan_and_a_value_outside_its_domain(
+    input_name, kind
+):
+    # A bool was kept as 1.0 or 0.0, and a string failed with a TypeError
+    # that named no field.
+    build, field_name, outside = _REAL_INPUTS[input_name]
+    value = {"bool": True, "str": "0.5", "nan": math.nan, "outside": outside}[kind]
+    with pytest.raises(ValueError) as err:
+        build(value)
+    assert f"{field_name} must be a real number in " in str(err.value)
+    assert str(err.value).endswith(f", got {value!r}")
+
+
+def test_real_inputs_accept_the_closed_ends_of_their_domains_and_store_floats():
+    assert Gaussian(0.5, 0).variance == 0.0
+    assert (Bernoulli(0).p, Bernoulli(1).p) == (0.0, 1.0)
+    assert len(generate_feasibility_class(0.25, 3)) == 4
+    risky = build_synthetic("risky")
+    fcsr = run_algorithm("fcsr", risky, 100, RngStream(1), feasibility_fraction=0, apt_fraction=0)
+    assert (fcsr.pulls_by_phase["suf"], fcsr.pulls_by_phase["apt"]) == (0, 0)
+    assert run_algorithm("etc", risky, 100, RngStream(1), explore_fraction=0).pulls_by_phase["explore"] == 0
+    gaussian = Gaussian(np.int64(1), Fraction(1, 4))
+    instance = BanditInstance(arms=((gaussian,),), threshold=np.float32(0.5))
+    assert [type(x) for x in (gaussian.mean, gaussian.variance, instance.threshold)] == [float] * 3
 
 
 def test_degenerate_bernoulli_always_one():

@@ -435,9 +435,9 @@ def test_sweep_config_rejects_params_that_are_not_numbers():
     # A string failed every cell with a TypeError that named no field, and
     # True would run silently as 1.0.
     for value in ("0.3", True, [0.3]):
-        with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number"):
+        with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number in \[0, 1\)"):
             _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": value}})
-    with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number, got None"):
+    with pytest.raises(ValueError, match=r"'etc': explore_fraction must be a real number in \[0, 1\), got None"):
         _tiny_config(algorithms=("etc",), params={"etc": {"explore_fraction": None}})
     with pytest.raises(ValueError, match=r"'us' does not read \['threshold'\]"):
         _tiny_config(algorithms=("us",), params={"us": {"threshold": None}})

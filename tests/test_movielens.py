@@ -13,6 +13,7 @@ from fcsr.movielens import (
     parse_corpus,
     table1_surrogate_instance,
 )
+from fcsr.serialize import portfolio_from_dict
 
 
 def write_corpus(tmp_path, ratings_rows, movies_rows, name="corpus"):
@@ -170,6 +171,21 @@ def test_genre_mismatch_rejected():
             genres=("Drama", "Action"),
             arms=({"Drama": 1, "Action": 2}, {"Drama": 3, "Comedy": 4}),
         )
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), "0.7", True], ids=["nan", "str", "bool"])
+def test_portfolio_threshold_must_be_a_real_number(threshold):
+    # It was kept as given: a NaN or a string failed only in build_instance,
+    # after the corpus was parsed, and a bool ran as 1.0.
+    message = re.escape(f"threshold must be a real number in (-inf, inf), got {threshold!r}")
+    with pytest.raises(ValueError, match=message):
+        PortfolioSpec(genres=("Drama",), arms=({"Drama": 1},), threshold=threshold)
+    doc = {"genres": ["Drama"], "arms": [{"Drama": 1}]}
+    with pytest.raises(ValueError, match=message):
+        portfolio_from_dict(dict(doc, threshold=threshold), 0.5, 5)
+    with pytest.raises(ValueError, match=message):
+        portfolio_from_dict(doc, threshold, 5)
+    assert portfolio_from_dict(dict(doc, threshold=1), 0.5, 5).threshold == 1.0
 
 
 def test_empirical_means_match_streaming_oracle(tmp_path):
