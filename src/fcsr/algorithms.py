@@ -202,6 +202,14 @@ class _RunState:
     from its (seed, stream) alone. ``used`` counts pulls, and no pass takes
     it past ``cap``.
 
+    When every attribute is Gaussian (``_sum_law``), ``normal`` holds each
+    arm's means, variances and standard deviations as Python floats. A
+    uniform pass then draws its standard normals z with one
+    ``standard_normal`` call and adds ``take*mean + sqrt(take*variance)*z``,
+    and a refill calls ``normal(mean, sd, _CHUNK)``. numpy computes
+    ``normal(loc, scale)`` as ``loc + scale*z``, so the values and the
+    generator state are those of ``draw_sum`` and ``draw_many``.
+
     The adaptive thresholding and sample-until-feasible passes pull one
     attribute for a run of steps at a time, and :meth:`_gallop` evaluates a
     run over the buffered values in numpy blocks, with the same draws and
@@ -221,13 +229,15 @@ class _RunState:
     """
 
     __slots__ = (
-        "arms", "gen", "views", "pos", "sums", "counts", "mu", "used", "cap",
+        "arms", "gen", "normal", "views", "pos", "sums", "counts", "mu", "used", "cap",
         "run", "means", "score", "flags",
     )
 
     def __init__(self, instance: BanditInstance, gen: np.random.Generator, cap: int) -> None:
         k, m = instance.num_arms, instance.num_attributes
         self.arms, self.gen = instance.arms, gen
+        family, params = instance._sum_law or (None, None)
+        self.normal = (*params.tolist(), np.sqrt(params[1]).tolist()) if family is Gaussian else None
         self.used, self.cap = 0, cap
         self.views: list[list[memoryview | None]] = [[None] * m for _ in range(k)]
         self.pos = [[_CHUNK] * m for _ in range(k)]
@@ -242,25 +252,29 @@ class _RunState:
     def _refill(self, i: int, j: int) -> memoryview:
         """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer
         and return its view; the caller reads on from position 0."""
-        view = self.views[i][j] = memoryview(self.arms[i][j].draw_many(_CHUNK, self.gen))
+        if self.normal is None:
+            rewards = self.arms[i][j].draw_many(_CHUNK, self.gen)
+        else:
+            means, _, sds = self.normal
+            rewards = self.gen.normal(means[i][j], sds[i][j], _CHUNK)
+        view = self.views[i][j] = memoryview(rewards)
         return view
 
-    def _gallop(
-        self, i: int, j: int, n: int, stay: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> int:
+    def _gallop(self, i: int, j: int, n: int, threshold: float, bound: float | None = None) -> int:
         """A run of at most ``n`` pulls on attribute (i, j), one buffer at a
         time from its read position; stores the read position, sum, count and
         mean it ends with, and returns the pulls made.
 
-        ``stay(roots, means)`` marks the pulls after which the run goes on,
-        given the square roots of their counts and their means; the run ends
-        after the first pull it does not mark. A buffer is refilled only when
-        it is empty and the run needs another value, as a single pull would
-        do, so the generator sees the same calls. The running sums come from
-        ``np.add.accumulate`` in place over ``[s, x1, ..., xk]`` in ``run``,
-        which adds in the order of ``s += x``, and the counts and roots are
-        slices of the ladder, so every statistic is bit-equal to pulling one
-        at a time.
+        The run goes on after a pull while its stay rule holds, and ends
+        after the first pull where it does not: with a ``bound``, the
+        adaptive thresholding rule sqrt(count) * |mean - threshold| < bound,
+        and without one, the sample-until-feasible rule mean <= threshold.
+        A buffer is refilled only when it is empty and the run needs another
+        value, as a single pull would do, so the generator sees the same
+        calls. The running sums come from ``np.add.accumulate`` in place over
+        ``[s, x1, ..., xk]`` in ``run``, which adds in the order of ``s +=
+        x``, and the counts and roots are slices of the ladder, so every
+        statistic and score is bit-equal to pulling one at a time.
         """
         view, p = self.views[i][j], self.pos[i][j]
         s, c = self.sums[i][j], self.counts[i][j]
@@ -279,7 +293,13 @@ class _RunState:
             head = run[:k + 1]
             np.add.accumulate(head, out=head)
             means = np.divide(head[1:], counts[c + 1:c + k + 1], out=self.means[:k])
-            ok = stay(roots[c + 1:c + k + 1], means)
+            if bound is None:
+                ok = np.less_equal(means, threshold, out=self.flags[:k])
+            else:
+                score = np.subtract(means, threshold, out=self.score[:k])
+                np.absolute(score, out=score)
+                np.multiply(score, roots[c + 1:c + k + 1], out=score)
+                ok = np.less(score, bound, out=self.flags[:k])
             last = int(ok.argmin())
             ended = not ok[last]
             if ended:
@@ -303,18 +323,25 @@ class _RunState:
         quota = budget // m
         if quota <= 0 or limit <= 0:
             return 0
-        gen = self.gen
-        used = 0
-        for j in range(m):
-            take = quota if quota <= limit - used else limit - used
-            if take <= 0:
-                break
-            s = sums[j] + dists[j].draw_sum(take, gen)
+        used = quota * m if quota * m <= limit else limit
+        cells = -(-used // quota)  # the cap may end the pass inside the last one
+        gen, normal, sqrt = self.gen, self.normal, math.sqrt
+        if normal is not None:
+            means, variances = normal[0][i], normal[1][i]
+            z = gen.standard_normal(cells).tolist()
+        take = quota
+        for j in range(cells):
+            if j == cells - 1:
+                take = used - quota * j
+            if normal is None:
+                x = dists[j].draw_sum(take, gen)
+            else:
+                x = take * means[j] + sqrt(take * variances[j]) * z[j]
+            s = sums[j] + x
             c = counts[j] + take
             sums[j] = s
             counts[j] = c
             mu[j] = s / c
-            used += take
         self.used += used
         return used
 
@@ -376,14 +403,7 @@ class _RunState:
             counts[j] = c
             mu[j] = est
             if sc < bound and left:
-                def stay(roots: np.ndarray, means: np.ndarray) -> np.ndarray:
-                    k = len(means)
-                    score = np.subtract(means, threshold, out=self.score[:k])
-                    np.absolute(score, out=score)
-                    np.multiply(score, roots, out=score)
-                    return np.less(score, bound, out=self.flags[:k])
-
-                left -= self._gallop(i, j, left, stay)
+                left -= self._gallop(i, j, left, threshold, bound)
                 sc = sqrt(counts[j]) * abs(mu[j] - threshold)
             scores[j] = sc
         self.used += steps
@@ -401,10 +421,6 @@ class _RunState:
             return 0
         mu = self.mu[i]
         m = len(mu)
-
-        def stay(roots: np.ndarray, means: np.ndarray) -> np.ndarray:
-            return np.less_equal(means, threshold, out=self.flags[:len(means)])
-
         used = 0
         while used < cap:
             j = -1
@@ -414,7 +430,7 @@ class _RunState:
                     break
             if j < 0:
                 break
-            used += self._gallop(i, j, cap - used, stay)
+            used += self._gallop(i, j, cap - used, threshold)
         self.used += used
         return used
 

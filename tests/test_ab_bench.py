@@ -169,3 +169,43 @@ def test_trace_mode_prints_each_per_layer_median_and_ratio(monkeypatch, capsys):
 def test_trace_mode_fails_on_a_run_with_failed_trials(monkeypatch, capsys):
     assert _traced_main(monkeypatch, {("change", 2): 1}) == 1
     assert "runs not correct: [('change', 2)]" in capsys.readouterr().out
+
+
+def test_json_holds_the_refs_seeds_every_run_and_every_summary_row(monkeypatch, tmp_path):
+    # Every metric reads the seed on the ref and twice the seed on the change,
+    # so higher-is-better metrics gain and lower-is-better ones regress.
+    declared = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_bench(checkout, workload, seed, pycache, trace=False):
+        value = seed * (2.0 if checkout == ab_bench.ROOT else 1.0)
+        return {"correct": True, "failed": 0, "attempted": 10,
+                "metrics": {m["name"]: {"value": value, "unit": m["unit"]} for m in declared}}
+
+    monkeypatch.setattr(ab_bench, "bench", fake_bench)
+    monkeypatch.setattr(ab_bench, "whole_sweep", lambda checkout, workload, seed: float(seed))
+    monkeypatch.setattr(ab_bench, "setup_parts", lambda checkout, workload, seed: {"sweep setup_s": 0.5})
+    monkeypatch.setattr(ab_bench, "source_size", lambda checkout: (3000, 32))
+    monkeypatch.setattr(ab_bench, "git", lambda *args: "c0ffee" if args[0] == "rev-parse" else " M src/x.py")
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: subprocess.CompletedProcess(a, 0, b""))
+    path = tmp_path / "bench.json"
+    argv = ["--ref", "HEAD", "--workload", "fcsr-risky", "--seeds", "1-4", "--json", str(path)]
+    assert ab_bench.main(argv) == 1  # the lower-is-better metrics regressed
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["workload"] == "fcsr-risky" and doc["seeds"] == [1, 2, 3, 4] and doc["trace"] is False
+    assert doc["command"] == "python3 tools/ab_bench.py " + " ".join(argv)
+    assert doc["ref"] == {"name": "HEAD", "commit": "c0ffee"}
+    assert doc["change"] == {"base": "c0ffee", "modified": True}
+    assert doc["source_size"] == {side: {"lines": 3000, "exported_names": 32} for side in ("ref", "change")}
+    for side, factor in (("ref", 1.0), ("change", 2.0)):
+        assert [r["seed"] for r in doc["runs"][side]] == [1, 2, 3, 4]
+        assert [r["metrics"]["trials_per_s"]["value"] for r in doc["runs"][side]] == [factor * s for s in (1, 2, 3, 4)]
+    rows = {r["metric"]: r for r in doc["summary"]}
+    assert list(rows) == [m["name"] for m in declared] + ["sweep trials/s", "sweep setup_s"]
+    assert rows["trials_per_s"] == {
+        "metric": "trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.25,
+        "ref": {"q1": 1.75, "median": 2.5, "q3": 3.25}, "change": {"q1": 3.5, "median": 5.0, "q3": 6.5},
+        "ratio": 2.0, "wins": 4, "verdict": "gain",
+    }
+    assert rows["cpu_ms_per_trial"]["verdict"] == "regressed" and rows["cpu_ms_per_trial"]["wins"] == 0
+    assert rows["sweep setup_s"]["verdict"] is None and rows["sweep setup_s"]["ratio"] == 1.0
+    assert doc["regressed"] == ["cpu_ms_per_trial", "setup_s", "peak_rss_mb"] and doc["not_correct"] == []

@@ -44,8 +44,8 @@ def blocks(monkeypatch):
     ends: list[bool] = []
     gallop = _RunState._gallop
 
-    def counted(self, i, j, n, stay):
-        out = gallop(self, i, j, n, stay)
+    def counted(self, i, j, n, threshold, bound=None):
+        out = gallop(self, i, j, n, threshold, bound)
         ends.append(out == n)
         return out
 
@@ -57,14 +57,15 @@ def blocks(monkeypatch):
 def crossings(monkeypatch):
     """The pass, "apt" or "suf", of each ``_gallop`` call that starts at the
     end of a buffer it has drawn: earlier pulls used the buffer up, so the
-    block's first value comes from a refill."""
+    block's first value comes from a refill. An APT run passes its score
+    bound, and a SUF run passes none."""
     passes: list[str] = []
     gallop = _RunState._gallop
 
-    def counted(self, i, j, n, stay):
+    def counted(self, i, j, n, threshold, bound=None):
         if self.pos[i][j] == _CHUNK and self.views[i][j] is not None:
-            passes.append(stay.__qualname__.split(".")[1])
-        return gallop(self, i, j, n, stay)
+            passes.append("suf" if bound is None else "apt")
+        return gallop(self, i, j, n, threshold, bound)
 
     monkeypatch.setattr(_RunState, "_gallop", counted)
     return passes

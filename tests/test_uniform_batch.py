@@ -13,7 +13,8 @@ one ``draw_sum`` per cell.
 
 The last tests tie FCSR's one-arm passes and elimination loop to ``sr``'s
 batch, and ``etc`` to ``us``: each run, with the fractions that switch its
-extra stages off at 0, gives the other's trace bit for bit.
+extra stages off at 0, gives the other's trace bit for bit. They also scale
+a Gaussian instance by powers of two, which scales every score exactly.
 """
 
 import functools
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 import fcsr.algorithms as algorithms
 from fcsr.algorithms import (
     _NORMALS,
+    ALGORITHM_IDS,
     _Batch,
     _decisions,
     build_schedule,
@@ -115,10 +117,14 @@ def _batch_stage(instance, orders, quota: int, cap: int, seeds):
     ], [gen.calls for gen in gens]
 
 
-def _scalar_stage(instance, arms, quota: int, cap: int, seed: int):
+def _scalar_stage(instance, arms, quota: int, cap: int, seed: int, run_state=ScalarRunState):
+    """One-arm passes of ``quota`` pulls per attribute over ``arms`` on a
+    ``run_state``, by default the oracle's; its pulls, statistics as hex and
+    the generator state after them."""
     gen = np.random.default_rng(seed)
-    state = ScalarRunState(instance, gen, cap)
-    state.uniform_arms(arms, quota * instance.num_attributes)
+    state = run_state(instance, gen, cap)
+    for i in arms:
+        state.uniform(i, quota * instance.num_attributes)
     return (state.used, _hexed(state.sums), state.counts, _hexed(state.mu), gen.bit_generator.state)
 
 
@@ -157,7 +163,12 @@ def test_stage_cut_by_the_cap_mid_arm_matches_scalar_oracle(family):
     """A cap of 137 on a pass of 10 pulls per cell over 5 x 4 cells ends it
     after 13 whole cells and 7 pulls of the 14th, in the fourth arm of each
     trial's order; each trial still draws its 14 block sums with the calls
-    of :func:`_expected_calls`."""
+    of :func:`_expected_calls`.
+
+    FCSR's one-arm passes over the same arms, with those quotas and caps
+    and with quotas 0 and 1, equal the oracle's one ``draw_sum`` per cell
+    pulled: a pass the cap cuts draws for its cells up to the cut one and
+    no further, so the generator ends in the oracle's state."""
     instance = _instance(family, 5, 4, 3)
     orders = [list(range(5)), [4, 2, 0, 3, 1], [1, 3, 4, 0, 2]]
     batch, calls = _batch_stage(instance, orders, 10, 137, [11, 12, 13])
@@ -167,12 +178,18 @@ def test_stage_cut_by_the_cap_mid_arm_matches_scalar_oracle(family):
         assert used == 137
         assert [counts[i] for i in arms] == [[10] * 4, [10] * 4, [10] * 4, [10, 7, 0, 0], [0] * 4]
     assert all(_expected_calls(family, c, 14) for c in calls)
+    # Caps 137 and 6 cut a pass inside an arm at quotas 10 and 1.
+    for quota, cap in ((10, 137), (10, 10**9), (0, 137), (1, 6), (1, 10**9)):
+        for arms, s in zip(orders, [11, 12, 13]):
+            one_arm = _scalar_stage(instance, arms, quota, cap, s, run_state=algorithms._RunState)
+            assert one_arm == _scalar_stage(instance, arms, quota, cap, s), (quota, cap, arms)
 
 
 @pytest.mark.parametrize("family", ("gaussian", "bernoulli"))
 def test_uniform_phase_on_a_wide_arm_matches_scalar_oracle(family, monkeypatch):
-    """FCSR's one-arm pass makes one ``draw_sum`` per attribute, even on an
-    arm of 20 attributes; a batch makes one call per trial over the same arm."""
+    """FCSR's one-arm pass makes one ``standard_normal`` call on a Gaussian
+    arm, even of 20 attributes, and one ``draw_sum`` per attribute on a
+    Bernoulli one; a batch makes one call per trial over the same arm."""
     instance = _instance(family, 2, 20, 5)
 
     def run():
@@ -183,10 +200,13 @@ def test_uniform_phase_on_a_wide_arm_matches_scalar_oracle(family, monkeypatch):
         return pulls, out, gen.gen.bit_generator.state, gen.calls
 
     block = run()
-    assert block[3] == Counter({"normal" if family == "gaussian" else "binomial": 60})
+    assert block[3] == Counter({"standard_normal": 3} if family == "gaussian" else {"binomial": 60})
     with monkeypatch.context() as patch:
         patch.setattr(algorithms, "_RunState", ScalarRunState)
-        assert run() == block
+        scalar = run()
+    # The same pulls, statistics and generator state as the oracle's draw_sum calls.
+    assert scalar[:3] == block[:3]
+    assert scalar[3] == Counter({"normal" if family == "gaussian" else "binomial": 60})
     batch, calls = _batch_stage(instance, [[1], [0]], 7, 10**9, [8, 9])
     assert batch == [_scalar_stage(instance, [i], 7, 10**9, s) for i, s in ((1, 8), (0, 9))]
     assert all(c == Counter({ONE_CALL[family]: 1}) for c in calls)
@@ -249,18 +269,28 @@ def test_runs_match_scalar_oracle(name, instance, monkeypatch):
             assert gen.calls == expected, (name, algorithm)
 
 
-def test_baselines_reach_the_one_call_path_and_fcsr_one_arm_passes_do_not():
+def test_baselines_make_one_call_a_run_and_fcsr_one_a_uniform_pass(monkeypatch):
     """On combined (K=10, M=5) at T=10000, each trial of a batch makes one
     ``standard_normal`` call per run and no other call, for ``us``, ``etc``
-    and the nine rounds of ``sr`` alike. FCSR's one-arm passes make none."""
+    and the nine rounds of ``sr`` alike. FCSR makes one ``standard_normal``
+    call per uniform pass that pulls and one ``normal`` call per buffer
+    refill, and no other call."""
     instance = build_synthetic("combined")
     for algorithm in ("us", "etc", "sr"):
         gens = [Counted(np.random.default_rng(t)) for t in range(3)]
         _decisions(algorithm, instance, 10000, gens)
         assert [g.calls for g in gens] == [Counter({"standard_normal": 1})] * 3, algorithm
+    passes, refills = [], []
+    uniform, refill = algorithms._RunState.uniform, algorithms._RunState._refill
+    monkeypatch.setattr(algorithms._RunState, "uniform",
+                        lambda self, i, budget: passes.append(uniform(self, i, budget)) or passes[-1])
+    monkeypatch.setattr(algorithms._RunState, "_refill",
+                        lambda self, i, j: refills.append(1) or refill(self, i, j))
     gen = Counted(np.random.default_rng(0))
     run_algorithm("fcsr", instance, 10000, gen)
-    assert gen.calls["standard_normal"] == 0 and gen.calls["normal"] > 0
+    pulled = sum(n > 0 for n in passes)
+    assert pulled == 54 and len(refills) > 0  # every live arm's pass pulls, in each of the 9 rounds
+    assert gen.calls == Counter({"standard_normal": pulled, "normal": len(refills)})
 
 
 def _batch_traces(algorithm, instance, budget, seeds, gens=None, **params):
@@ -395,6 +425,36 @@ def test_fcsr_at_zero_decides_as_sr_in_a_sweep():
         rngs = [RngStream(5, trial_stream_id("sr", 90_000, t)) for t in range(20)]
         fcsr = _decisions("fcsr", instance, 90_000, rngs, feasibility_fraction=0, apt_fraction=0)
         assert fcsr.tolist() == _decisions("sr", instance, 90_000, rngs).tolist(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    m=st.integers(1, 4),
+    budget=st.integers(0, 30_000),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-6, 6).filter(bool),
+)
+def test_scaling_a_gaussian_instance_by_a_power_of_two_scales_every_score_exactly(k, m, budget, seed, exponent):
+    """The Gaussian member of ``FAMILIES``, zero variances included, with
+    every mean and the threshold times c = 2**exponent and every variance
+    times c**2, gives each algorithm the same decision, pulls and elimination
+    order, and every per-round score times c exactly. A power of two makes
+    every floating-point step exact, so an absolute constant in a draw,
+    such as one in a block sum ``take*m + sqrt(take*v)*z``, breaks this."""
+    instance, c = _instance("gaussian", k, m, seed), 2.0**exponent
+    scaled = BanditInstance(
+        tuple(tuple(Gaussian(c * d.mean, c * c * d.variance) for d in row) for row in instance.arms),
+        c * instance.threshold,
+    )
+    for algorithm in ALGORITHM_IDS:
+        trace, moved = (run_algorithm(algorithm, inst, budget, RngStream(seed, 7)) for inst in (instance, scaled))
+        assert moved.per_round_scores == tuple(
+            tuple((arm, c * score) for arm, score in scores) for scores in trace.per_round_scores
+        ), algorithm
+        assert (moved.decision, moved.pulls_total, moved.pulls_by_phase, moved.elimination_order) == (
+            trace.decision, trace.pulls_total, trace.pulls_by_phase, trace.elimination_order
+        ), algorithm
 
 
 @pytest.mark.parametrize("family", FAMILIES)

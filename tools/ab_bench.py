@@ -47,6 +47,15 @@ processes as large as the changes it is meant to show. The exit rule on
 ``correct=true`` with 0 failed is the same.
 
     python3 tools/ab_bench.py --ref HEAD~1 --workload fcsr-risky --seeds 401-405 --trace
+
+With ``--json PATH`` it also writes what it printed as one JSON document:
+the workload, the seeds, the ref with the commit it resolves to, the
+working tree's base commit and whether the tree differs from it, the
+command, each side's source size, every run's metrics, and each summary row
+(each side's median and quartiles, or median alone for a per-layer row, the
+ratio, and for an end-to-end metric its wins and verdict).
+
+    python3 tools/ab_bench.py --ref HEAD --workload fcsr-risky --seeds 411-420 --json BENCH.json
 """
 
 from __future__ import annotations
@@ -129,20 +138,42 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def spread(ref: list[float], new: list[float]) -> dict:
+    """A summary row's numbers: each side's first quartile, median and third
+    quartile, and the change's median over the ref's."""
+    (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
+    return {"ref": {"q1": r1, "median": r2, "q3": r3},
+            "change": {"q1": c1, "median": c2, "q3": c3}, "ratio": c2 / r2}
+
+
 def row(name: str, ref: list[float], new: list[float]) -> str:
     """A table row's name, each side's median and quartiles, and the
     change's median over the ref's."""
-    (r1, r2, r3), (c1, c2, c3) = summary(ref), summary(new)
-    ref_col, new_col = f"{r2:.5g} [{r1:.5g}, {r3:.5g}]", f"{c2:.5g} [{c1:.5g}, {c3:.5g}]"
-    return f"{name:<18} {ref_col:<34} {new_col:<34} {c2 / r2:<6.3f}"
+    numbers = spread(ref, new)
+    r, c = numbers["ref"], numbers["change"]
+    ref_col = f"{r['median']:.5g} [{r['q1']:.5g}, {r['q3']:.5g}]"
+    new_col = f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}]"
+    return f"{name:<18} {ref_col:<34} {new_col:<34} {numbers['ratio']:<6.3f}"
+
+
+def layer_spread(ref: list[float], new: list[float]) -> dict:
+    """A per-layer row's numbers: each side's median and the change's median
+    over the ref's, None when the ref's median is 0."""
+    r2, c2 = statistics.median(ref), statistics.median(new)
+    return {"ref": {"median": r2}, "change": {"median": c2}, "ratio": c2 / r2 if r2 else None}
 
 
 def layer_row(name: str, ref: list[float], new: list[float]) -> str:
     """A per-layer row: each side's median and the change's median over the
     ref's, ``-`` when the ref's median is 0."""
-    r2, c2 = statistics.median(ref), statistics.median(new)
-    ratio = f"{c2 / r2:.3f}" if r2 else "-"
-    return f"{name:<42} {r2:<12.5g} {c2:<12.5g} {ratio}"
+    numbers = layer_spread(ref, new)
+    ratio = "-" if numbers["ratio"] is None else f"{numbers['ratio']:.3f}"
+    return f"{name:<42} {numbers['ref']['median']:<12.5g} {numbers['change']['median']:<12.5g} {ratio}"
+
+
+def git(*args: str) -> str:
+    """The stripped stdout of ``git args`` in the repository."""
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def wins(ref: list[float], new: list[float], higher: bool) -> int:
@@ -172,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, help='"lo-hi", e.g. "401-410"; one pair per seed')
     parser.add_argument("--trace", action="store_true",
                         help="compare the per-layer metrics of bench/run.py --trace 1")
+    parser.add_argument("--json", metavar="PATH", type=Path,
+                        help="also write the runs and the summary rows to PATH as JSON")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -207,11 +240,13 @@ def main(argv: list[str] | None = None) -> int:
     print("source lines, exported names: "
           + ", ".join(f"{side} {lines}, {names}" for side, (lines, names) in sizes.items()))
     regressed = []
+    rows = []
     if args.trace:
         print(f"{'per-layer metric':<42} {'ref median':<12} {'change median':<12} ratio, no verdict")
         for metric in declared["per_layer"]:
             ref, new = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs)
             print(layer_row(metric["name"], ref, new))
+            rows.append({"metric": metric["name"], **layer_spread(ref, new)})
     else:
         print(f"{'metric':<18} {'ref median [q1, q3]':<34} {'change median [q1, q3]':<34} ratio  wins  verdict")
         for metric in declared["end_to_end"]:
@@ -221,11 +256,32 @@ def main(argv: list[str] | None = None) -> int:
             mark = verdict(ref, new, higher, metric["bound"])
             if mark == "regressed":
                 regressed.append(name)
-            print(f"{row(name, ref, new)} {wins(ref, new, higher):>2}/{len(seeds):<3} {mark}")
+            won = wins(ref, new, higher)
+            print(f"{row(name, ref, new)} {won:>2}/{len(seeds):<3} {mark}")
+            rows.append({"metric": name, "unit": metric["unit"], "better": metric["better"],
+                         "bound": metric["bound"], **spread(ref, new), "wins": won, "verdict": mark})
         for name in runs["ref"][0]["informational"]:
             ref, new = ([r["informational"][name] for r in runs[side]] for side in runs)
             print(f"{row(name, ref, new)} informational, no verdict")
+            rows.append({"metric": name, **spread(ref, new), "verdict": None})
     wrong = [(side, r["seed"]) for side, rs in runs.items() for r in rs if not r["correct"] or r["failed"]]
+    if args.json:
+        document = {
+            "workload": args.workload,
+            "seeds": seeds,
+            "trace": args.trace,
+            "command": " ".join(["python3", "tools/ab_bench.py", *(sys.argv[1:] if argv is None else argv)]),
+            "ref": {"name": args.ref, "commit": git("rev-parse", "--verify", f"{args.ref}^{{commit}}")},
+            "change": {"base": git("rev-parse", "HEAD"),
+                       "modified": bool(git("status", "--porcelain"))},
+            "source_size": {side: {"lines": lines, "exported_names": names}
+                            for side, (lines, names) in sizes.items()},
+            "runs": runs,
+            "summary": rows,
+            "not_correct": wrong,
+            "regressed": regressed,
+        }
+        args.json.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     if wrong:
         print(f"runs not correct: {wrong}")
     else:
