@@ -203,12 +203,11 @@ class _RunState:
     it past ``cap``.
 
     When every attribute is Gaussian (``_sum_law``), ``normal`` holds each
-    arm's means, variances and standard deviations as Python floats. A
-    uniform pass then draws its standard normals z with one
-    ``standard_normal`` call and adds ``take*mean + sqrt(take*variance)*z``,
-    and a refill calls ``normal(mean, sd, _CHUNK)``. numpy computes
-    ``normal(loc, scale)`` as ``loc + scale*z``, so the values and the
-    generator state are those of ``draw_sum`` and ``draw_many``.
+    arm's means and variances as Python floats. A uniform pass then draws
+    its standard normals z with one ``standard_normal`` call and adds
+    ``take*mean + sqrt(take*variance)*z``. numpy computes ``normal(loc,
+    scale)`` as ``loc + scale*z``, so the values and the generator state
+    are those of ``draw_sum``.
 
     The adaptive thresholding and sample-until-feasible passes pull one
     attribute for a run of steps at a time, and :meth:`_gallop` evaluates a
@@ -237,7 +236,7 @@ class _RunState:
         k, m = instance.num_arms, instance.num_attributes
         self.arms, self.gen = instance.arms, gen
         family, params = instance._sum_law or (None, None)
-        self.normal = (*params.tolist(), np.sqrt(params[1]).tolist()) if family is Gaussian else None
+        self.normal = params.tolist() if family is Gaussian else None
         self.used, self.cap = 0, cap
         self.views: list[list[memoryview | None]] = [[None] * m for _ in range(k)]
         self.pos = [[_CHUNK] * m for _ in range(k)]
@@ -252,12 +251,7 @@ class _RunState:
     def _refill(self, i: int, j: int) -> memoryview:
         """Draw the next ``_CHUNK`` rewards of (i, j) into its empty buffer
         and return its view; the caller reads on from position 0."""
-        if self.normal is None:
-            rewards = self.arms[i][j].draw_many(_CHUNK, self.gen)
-        else:
-            means, _, sds = self.normal
-            rewards = self.gen.normal(means[i][j], sds[i][j], _CHUNK)
-        view = self.views[i][j] = memoryview(rewards)
+        view = self.views[i][j] = memoryview(self.arms[i][j].draw_many(_CHUNK, self.gen))
         return view
 
     def _gallop(self, i: int, j: int, n: int, threshold: float, bound: float | None = None) -> int:

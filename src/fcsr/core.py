@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -108,9 +108,17 @@ class Empirical:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("Empirical distribution needs a non-empty value sequence")
-        array = np.fromiter(self.values, dtype=np.float64, count=len(self.values))
+        values = self.values
+        if isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray)) or len(values) == 0:
+            raise ValueError(f"Empirical values must be a non-empty sequence of numbers, got {values!r}")
+        odd = [kind for kind in set(map(type, values)) if not _is_real(kind)]  # once per item type
+        if odd:
+            bad = next(v for v in values if type(v) in odd)
+            raise ValueError(f"each item of values must be a number, got {bad!r}")
+        try:
+            array = np.fromiter(values, dtype=np.float64, count=len(values))
+        except OverflowError:  # an int or a Fraction too large for a float
+            array = np.array([math.nan])
         # A NaN fails both comparisons.
         if not ((array >= 0.0) & (array <= 1.0)).all():
             raise ValueError("Empirical values must be finite and lie in [0, 1]")
@@ -267,6 +275,11 @@ def _integer(name: str, value: object, least: int | None = None) -> int:
     return int(value)
 
 
+def _is_real(kind: type) -> bool:
+    """Whether a value of type ``kind`` is a real number: a bool is not one."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def _real(name: str, value: object, domain: str = "(-inf, inf)") -> float:
     """``value`` as a float: the one rule for every real input. A ValueError
     naming ``name`` when it is no finite real number (a bool is not one; a
@@ -274,7 +287,7 @@ def _real(name: str, value: object, domain: str = "(-inf, inf)") -> float:
     such as "[0, 1)" whose brackets say which ends it includes."""
     low, high = map(float, domain[1:-1].split(","))
     try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+        x = float(value) if _is_real(type(value)) else math.nan
     except OverflowError:  # an int or a Fraction too large for a float
         x = math.nan
     if (low <= x if domain[0] == "[" else low < x) and (x <= high if domain[-1] == "]" else x < high):
@@ -339,18 +352,15 @@ class BanditInstance:
     @cached_property
     def _sum_law(self) -> tuple[type, np.ndarray] | None:
         """(family, parameters) when every attribute is Gaussian or every one
-        is Bernoulli, else None. ``parameters[f, i, j]`` is field f (mean and
-        variance, or p) of attribute (i, j). Empirical attributes each have
-        their own support, so they have no such table."""
+        is Bernoulli, else None. ``parameters[f, i, j]`` is the family's field
+        f (mean and variance, or p) of attribute (i, j). Empirical attributes
+        each have their own support, so they have no such table."""
         families = {type(d) for row in self.arms for d in row}
-        if families == {Gaussian}:
-            fields = ("mean", "variance")
-        elif families == {Bernoulli}:
-            fields = ("p",)
-        else:
+        if families != {Gaussian} and families != {Bernoulli}:
             return None
-        params = [[[getattr(d, f) for d in row] for row in self.arms] for f in fields]
-        return families.pop(), np.array(params, dtype=np.float64)
+        family = families.pop()
+        params = [[[getattr(d, f.name) for d in row] for row in self.arms] for f in fields(family)]
+        return family, np.array(params, dtype=np.float64)
 
     @cached_property
     def arm_means(self) -> np.ndarray:

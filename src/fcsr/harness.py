@@ -406,20 +406,17 @@ def weighted_log_error_slope(
     accuracy / (N (1 - accuracy)), and the returned standard error of the
     slope comes from the same variances, so ``slope + 1.645 * stderr < 0``
     is a one-sided 95% test for error decaying with budget. Requires at
-    least two points, finite budgets, every accuracy strictly inside (0, 1)
-    (a NaN accuracy, as a failed cell records, is not) and trials an integer >= 1.
+    least two points, each budget a real number (``_real``) and each accuracy
+    one strictly inside (0, 1) (a NaN accuracy, as a failed cell records, is
+    not), and trials an integer >= 1.
 
     Returns:
         (slope, stderr).
     """
-    x = np.asarray(budgets, dtype=np.float64)
-    acc = np.asarray(accuracies, dtype=np.float64)
+    x = np.array([_real("each item of budgets", b) for b in budgets])
+    acc = np.array([_real("each item of accuracies", a, "(0, 1)") for a in accuracies])
     if x.shape != acc.shape or x.size < 2:
         raise ValueError("need matching budgets/accuracies with >= 2 points")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"slope fit needs finite budgets, got {x.tolist()}")
-    if not np.all((acc > 0.0) & (acc < 1.0)):
-        raise ValueError(f"slope fit needs accuracies strictly inside (0, 1), got {acc.tolist()}")
     _integer("trials", trials, 1)
     y = np.log(1.0 - acc)
     var = acc / (trials * (1.0 - acc))

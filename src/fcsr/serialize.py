@@ -9,17 +9,12 @@ interchange format between the generators, the harness, and the CLI.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from .algorithms import RunTrace
-from .core import (
-    AttributeDistribution,
-    BanditInstance,
-    Bernoulli,
-    Empirical,
-    Gaussian,
-)
+from .core import AttributeDistribution, BanditInstance, Bernoulli, Empirical, Gaussian
 from .hardness import ExponentPrediction, HardnessReport
 from .harness import SYNTHETIC_NAMES, SweepConfig, SweepResult, _plain, build_synthetic
 from .movielens import PortfolioSpec, table1_surrogate_instance
@@ -38,14 +33,19 @@ __all__ = [
 ]
 
 
+# Each kind of attribute document and the class it names. The class's
+# fields, in order, are the document's other keys, all of them required.
+_FAMILIES = {family.__name__.lower(): family for family in (Gaussian, Bernoulli, Empirical)}
+
+
 def _dist_to_dict(dist: AttributeDistribution) -> dict[str, Any]:
-    if isinstance(dist, Gaussian):
-        return {"kind": "gaussian", "mean": dist.mean, "variance": dist.variance}
-    if isinstance(dist, Bernoulli):
-        return {"kind": "bernoulli", "p": dist.p}
-    if isinstance(dist, Empirical):
-        return {"kind": "empirical", "values": list(dist.values)}
-    raise TypeError(f"unknown distribution type {type(dist)!r}")
+    """The attribute document of ``dist``, one of the classes of ``_FAMILIES``
+    (a KeyError names any other): its kind, then its fields in order."""
+    kind = type(dist).__name__.lower()
+    doc: dict[str, Any] = {"kind": kind}
+    for f in fields(_FAMILIES[kind]):  # a tuple, Empirical's values, as a list
+        doc[f.name] = list(value) if isinstance(value := getattr(dist, f.name), tuple) else value
+    return doc
 
 
 # The JSON types a document value is checked for: the types ``json.loads``
@@ -87,10 +87,6 @@ def _keys(doc: dict, valid: tuple, required: tuple, what: str) -> None:
         raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
 
 
-# The keys of each kind of attribute document, all of them required.
-_ATTRIBUTE_KEYS = {
-    "gaussian": ("kind", "mean", "variance"), "bernoulli": ("kind", "p"), "empirical": ("kind", "values"),
-}
 # The keys of instance and arm documents, required ones first.
 _INSTANCE_REQUIRED = ("threshold", "arms")
 _INSTANCE_KEYS = (*_INSTANCE_REQUIRED, "attribute_labels")
@@ -103,15 +99,12 @@ def _dist_from_dict(data: Any, arm: int, attribute: int) -> AttributeDistributio
     the (1-based) arm and attribute it came from."""
     try:
         kind = _typed(data, dict, "the attribute").get("kind")
-        valid = _ATTRIBUTE_KEYS.get(kind) if isinstance(kind, str) else None
-        if valid is None:
+        family = _FAMILIES.get(kind) if isinstance(kind, str) else None
+        if family is None:
             raise ValueError(f"unknown distribution kind {kind!r}")
-        _keys(data, valid, valid, f"a {kind} attribute")
-        if kind == "gaussian":
-            return Gaussian(mean=data["mean"], variance=data["variance"])
-        if kind == "bernoulli":
-            return Bernoulli(p=data["p"])
-        return Empirical(values=_typed_items(data["values"], float, "values"))
+        names = tuple(f.name for f in fields(family))
+        _keys(data, ("kind", *names), ("kind", *names), f"a {kind} attribute")
+        return family(*(data[name] for name in names))
     except ValueError as exc:
         raise ValueError(f"arm {arm} attribute {attribute}: {exc}") from exc
 
@@ -167,8 +160,11 @@ def read_instance(path: str | Path) -> BanditInstance:
 
 
 # The keyword arguments of ``build_synthetic`` an instance block may set,
-# each with its JSON type.
-_SYNTHETIC_KEYS = {"gap": float, "num_arms": int, "num_attributes": int, "variance": float}
+# each with its JSON type: an integer for an int parameter, else a number.
+_SYNTHETIC_KEYS = {
+    key: int if hint is int else float
+    for key, hint in get_type_hints(build_synthetic).items() if key not in ("name", "return")
+}
 
 # The keys of sweep config and portfolio documents, required ones first.
 _SWEEP_REQUIRED = ("instance", "algorithms", "budgets", "trials")

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcsr.cli as cli
+import fcsr.serialize as serialize
 from fcsr.algorithms import RunTrace, run_algorithm
 from fcsr.cli import main
-from fcsr.core import BanditInstance, Gaussian, RngStream, oracle
+from fcsr.core import BanditInstance, Bernoulli, Empirical, Gaussian, RngStream, oracle
 from fcsr.hardness import ExponentPrediction, HardnessReport, compute_hardness, predict_exponents
 from fcsr.serialize import (
     hardness_to_dict,
@@ -59,6 +60,22 @@ def test_gen_risky_family_writes_one_file_per_member(tmp_path):
     assert len(files) == 8
     first = read_instance(files[0])
     assert first.num_arms == 4 and first.num_attributes == 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["risky-class", "--beta", "0.5"], "risky-class generates multiple instances; --out DIR is required"),
+        (["feasibility-class", "--out", "{out}"], "feasibility-class requires --d"),
+        (["risky-class", "--out", "{out}"], "risky-class requires --beta"),
+    ],
+    ids=["out-missing", "d-missing", "beta-missing"],
+)
+def test_gen_instance_family_names_the_option_it_lacks(tmp_path, capsys, argv, message):
+    out = tmp_path / "family"
+    assert main(["gen-instance", *(arg.format(out=out) for arg in argv)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("family/*.json"))
 
 
 def test_gen_feasibility_family(tmp_path):
@@ -398,6 +415,11 @@ def _bernoulli_with_variance(doc):
     return doc
 
 
+def _gaussian_without_variance(doc):
+    del doc["arms"][0]["attributes"][1]["variance"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -421,11 +443,18 @@ def _bernoulli_with_variance(doc):
             _empirical_values(0.2, 1, True, "0.5"),
             "arm 1 attribute 1: each item of values must be a number, got True",
         ),
+        (
+            _empirical_values(),
+            "arm 1 attribute 1: Empirical values must be a non-empty sequence of numbers, got []",
+        ),
+        (_gaussian_without_variance, "arm 1 attribute 2: a gaussian attribute is missing keys: variance"),
+        (lambda doc: {"threshold": 0.5}, "instance document is missing keys: arms"),
     ],
     ids=[
         "mean", "attributes", "top-level-list", "arm-label", "attribute-labels", "bernoulli-variance",
         "attribute-labels-empty-string", "attribute-labels-zero", "attribute-labels-null",
-        "empirical-values-string", "empirical-values-bool",
+        "empirical-values-string", "empirical-values-bool", "empirical-values-empty",
+        "gaussian-variance-missing", "arms-missing",
     ],
 )
 def test_instance_document_names_a_value_of_the_wrong_type(tmp_path, capsys, spoil, message):
@@ -562,6 +591,16 @@ def test_sweep_builtin_surrogate_and_default_seed(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert "default" in capsys.readouterr().err
     assert "us,300,3," in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "dist", [Gaussian(0.7, 0.3), Bernoulli(0.6), Empirical((0.2, 0.9))], ids=lambda d: type(d).__name__
+)
+def test_an_attribute_document_is_its_kind_then_the_fields_of_its_class(dist):
+    doc = serialize._dist_to_dict(dist)
+    assert list(doc) == ["kind", *(f.name for f in fields(dist))]
+    assert serialize._FAMILIES[doc["kind"]] is type(dist)
+    assert serialize._dist_from_dict(json.loads(json.dumps(doc)), 1, 1) == dist
 
 
 def test_instance_round_trip_is_lossless(tmp_path):

@@ -85,6 +85,34 @@ def test_distribution_validation():
             BanditInstance(arms=((Bernoulli(0.5),),), threshold=bad_threshold)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((True, 0.5), "each item of values must be a number, got True"),
+        (("0.5",), "each item of values must be a number, got '0.5'"),
+        ((0.5, None), "each item of values must be a number, got None"),
+        (5, "Empirical values must be a non-empty sequence of numbers, got 5"),
+        ("0.5", "Empirical values must be a non-empty sequence of numbers, got '0.5'"),
+        ((), "Empirical values must be a non-empty sequence of numbers, got ()"),
+        ((0.5, 10**400), "Empirical values must be finite and lie in [0, 1]"),
+        ((Fraction(10**400),), "Empirical values must be finite and lie in [0, 1]"),
+    ],
+    ids=["bool", "string-item", "none", "number", "string", "empty", "huge-int", "huge-fraction"],
+)
+def test_empirical_takes_a_non_empty_sequence_of_real_numbers_only(values, message):
+    # A bool or a string item was kept (True as 1.0, "0.5" as 0.5), and a
+    # number failed with a TypeError.
+    with pytest.raises(ValueError) as err:
+        Empirical(values)
+    assert str(err.value) == message
+
+
+def test_empirical_keeps_its_values_as_a_tuple_of_floats():
+    for values in ([0.25, 1], np.array([0.25, 1.0]), (Fraction(1, 4), np.float32(1))):
+        assert Empirical(values).values == (0.25, 1.0)
+        assert all(type(v) is float for v in Empirical(values).values)
+
+
 # Each real input: how to feed it a value, the field its error names, and a
 # value just outside its domain.
 _REAL_INPUTS = {
@@ -118,7 +146,7 @@ _REAL_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["bool", "str", "nan", "outside"])
+@pytest.mark.parametrize("kind", ["bool", "str", "nan", "outside", "huge-int", "huge-fraction"])
 @pytest.mark.parametrize("input_name", list(_REAL_INPUTS))
 def test_every_real_input_rejects_a_bool_a_string_a_nan_and_a_value_outside_its_domain(
     input_name, kind
@@ -126,7 +154,10 @@ def test_every_real_input_rejects_a_bool_a_string_a_nan_and_a_value_outside_its_
     # A bool was kept as 1.0 or 0.0, and a string failed with a TypeError
     # that named no field.
     build, field_name, outside = _REAL_INPUTS[input_name]
-    value = {"bool": True, "str": "0.5", "nan": math.nan, "outside": outside}[kind]
+    value = {
+        "bool": True, "str": "0.5", "nan": math.nan, "outside": outside,
+        "huge-int": 10**400, "huge-fraction": Fraction(10**400),  # too large for a float
+    }[kind]
     with pytest.raises(ValueError) as err:
         build(value)
     assert f"{field_name} must be a real number in " in str(err.value)
@@ -204,7 +235,10 @@ def test_draw_sum_degenerate_cases():
     assert Gaussian(0.7, 0.0).draw_sum(10, gen) == pytest.approx(7.0, rel=1e-12)
     assert Bernoulli(1.0).draw_sum(13, gen) == 13.0
     assert Empirical((0.5,)).draw_sum(8, gen) == pytest.approx(4.0, rel=1e-12)
-    assert Gaussian(0.7, 0.3).draw_sum(0, gen) == 0.0
+    state = gen.bit_generator.state
+    for dist in (Gaussian(0.7, 0.3), Bernoulli(0.5), Empirical((0.2, 0.9))):
+        assert dist.draw_sum(0, gen) == 0.0
+    assert gen.bit_generator.state == state  # no draw for no pulls
 
 
 def test_normal_is_loc_plus_scale_times_standard_normal():
@@ -504,6 +538,11 @@ def test_oracle_reports_ties():
     truth = oracle(instance)
     assert truth.best_arm == 1
     assert truth.tied_best == (1, 2)
+    # Equality compares every field, the arm means array included.
+    assert truth == oracle(BanditInstance(instance.arms, 0.1))
+    assert truth != oracle(BanditInstance(instance.arms, 0.5))
+    assert truth != oracle(BanditInstance(instance.arms[:2] + ((Bernoulli(0.4),),), 0.1))
+    assert truth != (truth.feasible_arms, truth.best_arm) and truth != "oracle"
 
 
 def test_instance_validation():
@@ -519,6 +558,10 @@ def test_instance_validation():
         BanditInstance(
             arms=((Bernoulli(0.5),),), threshold=0.5, arm_labels=("a", "b")
         )
+    with pytest.raises(ValueError, match="at least one attribute"):
+        BanditInstance(arms=((), ()), threshold=0.5)
+    with pytest.raises(ValueError, match="attribute_labels length"):
+        BanditInstance(arms=((Bernoulli(0.5),),), threshold=0.5, attribute_labels=("x", "y"))
     # Empirical values lie in [0, 1], both ends included.
     for bad in (-0.1, 1.0000001, -math.inf):
         with pytest.raises(ValueError, match="Empirical values"):

@@ -173,6 +173,7 @@ def test_report_equality_compares_every_field():
         value = getattr(report, f.name)
         changed = value + (99,) if isinstance(value, tuple) else value + 1
         assert replace(report, **{f.name: changed}) != report, f.name
+    assert report != report.overall_hardness and report != "report"  # no report equals another type
 
 
 def test_mean_hardness_range_behaviour():

@@ -327,6 +327,8 @@ def test_a_failing_task_fails_only_its_own_cell():
     parallel = run_sweep(config, workers=2)
     assert [cell.note for cell in parallel.cells] == ["", "failed: no block of 15 pulls", "", ""]
     assert parallel.cell("us", 60).error_count == -1
+    with pytest.raises(KeyError, match=r"no cell for \(sr, 60\)"):
+        parallel.cell("sr", 60)
     assert all(cell.error_count >= 0 for cell in parallel.cells if not cell.note)
     assert parallel == run_sweep(config, workers=1)
 
@@ -416,6 +418,8 @@ def test_sweep_config_validation():
         _tiny_config(budgets=(100, 100))
     with pytest.raises(ValueError):
         _tiny_config(budgets=(200, 100))
+    with pytest.raises(ValueError, match="budgets must be non-empty"):
+        _tiny_config(budgets=())
     with pytest.raises(ValueError):
         _tiny_config(trials=0)
     with pytest.raises(ValueError):
@@ -617,12 +621,19 @@ def test_uniform_baseline_error_decays_with_budget():
     "budgets, accuracies, trials, named",
     [
         ([1000, 2000], [0.6, 0.8], 0, "trials"),
-        ([1000, math.inf], [0.6, 0.8], 100, "finite budgets"),
+        ([1000, math.inf], [0.6, 0.8], 100, r"each item of budgets must be a real number in \(-inf, inf\), got inf"),
         ([1000, 2000], [0.6, math.nan], 100, "accuracies"),
         ([1000, 2000], [0.6, 0.8], 2.5, "trials must be an integer"),
         ([1000, 2000], [0.6, 0.8], True, "trials must be an integer"),
+        ([True, 2000], [0.6, 0.8], 100, "each item of budgets must be a real number .*, got True"),
+        (["1", "2"], [0.6, 0.8], 100, "each item of budgets must be a real number .*, got '1'"),
+        ([1000, 2000], [0.6, True], 100, r"each item of accuracies must be a real number in \(0, 1\), got True"),
+        ([1000, 2000], ["0.6", 0.8], 100, "each item of accuracies must be a real number .*, got '0.6'"),
     ],
-    ids=["no-trials", "infinite-budget", "nan-accuracy", "fractional-trials", "bool-trials"],
+    ids=[
+        "no-trials", "infinite-budget", "nan-accuracy", "fractional-trials", "bool-trials",
+        "bool-budget", "string-budgets", "bool-accuracy", "string-accuracy",
+    ],
 )
 def test_slope_fit_rejects_inputs_that_would_give_nan(budgets, accuracies, trials, named):
     with pytest.raises(ValueError, match=named):

@@ -77,13 +77,17 @@ def test_parse_rejects_a_ratings_file_that_is_not_utf8(tmp_path, spoil):
 
 def test_parse_skips_and_counts_bad_rows(tmp_path):
     rows = [f"1,1,4.0,{i}" for i in range(400)]
-    rows.append("2,1,not-a-number,5")  # three malformed rows in 403 are under 1%
+    rows.append("2,1,not-a-number,5")  # four malformed rows in 404 are under 1%
     rows.append("x,1,4.0,5")  # the user id and timestamp are parsed, not kept
     rows.append("2,1,4.0,later")
-    ratings, movies = write_corpus(tmp_path, rows, MOVIES)
+    rows.append("2,1,4.0")  # a field short
+    # Malformed movie rows are skipped, and uncounted: a field short, an id
+    # that is no integer.
+    ratings, movies = write_corpus(tmp_path, rows, [*MOVIES, "3,Short Row (2002)", "x,Bad Id (2003),Drama"])
     corpus = parse_corpus(ratings, movies)
-    assert corpus.skipped_rows == 3
+    assert corpus.skipped_rows == 4
     assert len(corpus) == 400
+    assert sorted(corpus.movies) == [1, 2]
 
 
 def test_parse_aborts_above_one_percent_malformed(tmp_path):

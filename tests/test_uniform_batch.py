@@ -293,6 +293,22 @@ def test_baselines_make_one_call_a_run_and_fcsr_one_a_uniform_pass(monkeypatch):
     assert gen.calls == Counter({"standard_normal": pulled, "normal": len(refills)})
 
 
+def test_every_fcsr_refill_is_one_draw_many_of_its_attribute(monkeypatch):
+    """On a Gaussian instance each buffer refill of an FCSR run is exactly
+    one ``Gaussian.draw_many(_CHUNK, gen)`` call on the attribute it refills,
+    and the run makes no other ``draw_many`` call."""
+    instance = build_synthetic("combined")
+    refills, draws = [], []
+    refill, draw_many = algorithms._RunState._refill, Gaussian.draw_many
+    monkeypatch.setattr(algorithms._RunState, "_refill",
+                        lambda self, i, j: refills.append(instance.arms[i][j]) or refill(self, i, j))
+    monkeypatch.setattr(Gaussian, "draw_many",
+                        lambda self, n, gen: draws.append((self, n)) or draw_many(self, n, gen))
+    run_algorithm("fcsr", instance, 10000, RngStream(0))
+    assert len(refills) > 0 and len(draws) == len(refills)
+    assert all(dist is attribute and n == algorithms._CHUNK for (dist, n), attribute in zip(draws, refills))
+
+
 def _batch_traces(algorithm, instance, budget, seeds, gens=None, **params):
     """Each trial's decision, pulls, scores as hex, elimination order and
     generator state after one batch over ``gens``, by default generators
